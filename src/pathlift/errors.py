@@ -22,3 +22,14 @@ class ParabolicityError(MathPreconditionError):
             f"parabolicity violated at t={t!r}, x={x!r}: "
             f"min eigenvalue of 2a - sigma sigma^T is {min_eigenvalue:.3e}"
         )
+
+
+class DivergenceError(MathPreconditionError):
+    """An integrated path reached a non-finite value."""
+
+    def __init__(self, step, t, seed, seed_b):
+        self.step, self.t, self.seed, self.seed_b = step, t, seed, seed_b
+        super().__init__(
+            f"path diverged: first non-finite value at step {step} "
+            f"(t={t!r}) for w.seed={seed}, seed_b={seed_b}"
+        )

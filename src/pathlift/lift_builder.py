@@ -8,10 +8,10 @@ label set (nu-based, any d) and interpolates linearly in space, so every
 pairwise marginal of the constructed lift is an optimal coupling and the
 coupling is nested across all coarser dyadic levels.
 
-Energies are p-th power integrals of path seminorms against the lift;
-``marginal_curve_energy`` computes the matching regularity energy of the
-induced measure curve from pairwise Wasserstein distances, which the
-lift energy can never undercut.
+Energies use the one set of kernels in ``path_norms``, which serves paths,
+lifts and curves: a lift pays the path energy path by path, and a curve
+energy is the same kernel applied to the sorted atoms of the slices, with
+W_p^p in place of |X_v - X_u|^p. The lift energy never undercuts it.
 """
 
 import csv
@@ -23,8 +23,18 @@ import numpy as np
 
 from . import _rng
 from .nu_transport import ParticleEnsemble
-from .path_norms import DyadicPath, NormSpec, holder_seminorm, p_variation
+from .path_norms import (
+    DyadicPath,
+    NormSpec,
+    _besov_energy,
+    _grid_index,
+    _holder_max,
+    _level_costs,
+    _PairCost,
+    _pvar_dp,
+)
 from .quantile_transport import (
+    _WEIGHT_TOL,
     QuantileMeasure,
     monotone_multicoupling,
     wasserstein_p_clouds,
@@ -52,9 +62,6 @@ __all__ = [
     "pm_from_csv",
     "bound_factor",
 ]
-
-_WEIGHT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PathMeasure:
@@ -153,7 +160,8 @@ class MeasurePathSample:
         level = n_int.bit_length() - 1
         if 2 ** level != n_int:
             raise ValueError("number of time points must be 2^n + 1")
-        if not np.allclose(times, np.linspace(0.0, 1.0, n_int + 1), atol=1e-12):
+        grid = np.linspace(0.0, 1.0, n_int + 1)
+        if not np.allclose(times, grid, rtol=0, atol=1e-12):
             raise ValueError("times must be the dyadic level-n grid of [0, 1]")
         kinds = {type(m) for m in measures}
         if len(kinds) != 1 or not (
@@ -241,39 +249,85 @@ def build_shuffled_lift(mp: MeasurePathSample, seed: int) -> PathMeasure:
     )
 
 
-def _besov_energy(pi: PathMeasure, alpha: float, p: float) -> float:
-    """sum_j w_j |path_j|_besov^p, vectorized across paths."""
-    total = 0.0
-    for m in range(pi.depth + 1):
-        sub = pi.paths[:, :: 2 ** (pi.depth - m), :]
-        diff = np.diff(sub, axis=1)
-        dist = np.sqrt(np.einsum("jkd,jkd->jk", diff, diff))
-        per_path = np.sum(dist ** p, axis=1)
-        total += 2.0 ** (m * (alpha * p - 1)) * float(pi.weights @ per_path)
-    return total
+def _sorted_slices(mp: MeasurePathSample) -> np.ndarray:
+    """Atoms of every slice of a curve, shape (K, N, d), equal weights.
+
+    In d = 1 row k is sorted, the quantile function of slice k (quantile
+    slices are not sorted again); ensembles in d > 1 keep label order.
+    """
+    rows = [
+        m.quantiles[:, None] if mp.is_quantile else m.positions
+        for m in mp.measures
+    ]
+    if len({r.shape for r in rows}) != 1:
+        raise ValueError("marginals must share their atom count")
+    atoms = np.stack(rows)
+    if not mp.is_quantile and atoms.shape[2] == 1:
+        atoms.sort(axis=1, kind="stable")
+    return atoms
+
+
+def _slices_cost(slices: np.ndarray, p: float) -> _PairCost:
+    """W_p^p between 1-d slices held as sorted equal-weight atoms (K, N, 1)."""
+    if slices.shape[2] != 1:
+        raise ValueError("exact W_p needs one-dimensional marginals")
+    n = slices.shape[1]
+    return _PairCost(slices, np.full(n, 1.0 / n), p)
+
+
+def _lift_cost(pi: PathMeasure, p: float) -> _PairCost:
+    """w . |X_j - X_i|^p between the grid times of a lift's paths."""
+    return _PairCost(pi.paths.transpose(1, 0, 2), pi.weights, p)
+
+
+class _CloudCost(_PairCost):
+    """Exact W_p^p between weighted time marginals in d = 1, any weights.
+
+    Only cells with j > i are computed (one ``wasserstein_p_clouds`` call
+    each); the others are left at zero, which no kernel reads.
+    """
+
+    def __call__(self, i, j) -> np.ndarray:
+        sites = np.arange(self.k)
+        ii, jj = np.broadcast_arrays(sites[i], sites[j])
+        out = np.zeros(ii.shape)
+        for pos in zip(*np.nonzero(jj > ii)):
+            out[pos] = wasserstein_p_clouds(
+                self.atoms[ii[pos], :, 0], self.weights,
+                self.atoms[jj[pos], :, 0], self.weights, self.p,
+            ) ** self.p
+        return out
+
+
+def _curve_energy(cost: _PairCost, spec: NormSpec) -> float:
+    """Energy of a measure curve on [0, 1] from the W_p^p between slices.
+
+    * besov:  sum_m 2^{m(alpha p - 1)} sum_k W_p^p(mu_{t_k}, mu_{t_{k+1}})
+    * holder: sup_{u<v} W_p^p(mu_u, mu_v) / (v-u)^{gamma p}
+    * pvar:   sup over dissections of sum W_p^p along the dissection
+    """
+    if spec.kind == "besov":
+        return _besov_energy(cost, spec.alpha, spec.p)
+    if spec.kind == "holder":
+        return _holder_max(cost, 1.0 / (cost.k - 1), (spec.gamma * spec.p,))[0]
+    if spec.kind == "pvar":
+        return _pvar_dp(cost)
+    raise ValueError("curve energy supports besov, holder and pvar kinds")
 
 
 def lift_energy(pi: PathMeasure, spec: NormSpec) -> float:
     """Energy sum_j w_j * seminorm(path_j)^p of the lift."""
     if spec.kind == "besov":
-        return _besov_energy(pi, spec.alpha, spec.p)
+        return _besov_energy(_lift_cost(pi, spec.p), spec.alpha, spec.p)
     total = 0.0
     for j in range(pi.n_paths):
         total += pi.weights[j] * spec.seminorm(pi.path(j)) ** spec.p
     return float(total)
 
 
-def _grid_index(pi: PathMeasure, t: float) -> int:
-    k = t * 2 ** pi.depth
-    k_round = round(k)
-    if abs(k - k_round) > 1e-9 or not 0 <= k_round <= 2 ** pi.depth:
-        raise ValueError(f"t={t} is not a level-{pi.depth} dyadic time")
-    return int(k_round)
-
-
 def marginal_cloud(pi: PathMeasure, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Atom positions and weights of the time-t marginal (grid t only)."""
-    k = _grid_index(pi, t)
+    k = _grid_index(t, pi.depth)
     return pi.paths[:, k, :].copy(), pi.weights.copy()
 
 
@@ -321,9 +375,8 @@ def pairwise_optimality_gap(
     """
     if pi.dim != 1:
         raise ValueError("optimality gap is only computed for d = 1")
-    ks, kt = _grid_index(pi, s), _grid_index(pi, t)
-    incr = np.abs(pi.paths[:, kt, 0] - pi.paths[:, ks, 0])
-    coupling_cost = float(pi.weights @ incr ** p)
+    ks, kt = _grid_index(s, pi.depth), _grid_index(t, pi.depth)
+    coupling_cost = float(_lift_cost(pi, p)(ks, kt))
     wp_cost = marginal_wasserstein(pi, s, t, p) ** p
     return OptimalityGap(
         coupling_cost=coupling_cost,
@@ -332,83 +385,23 @@ def pairwise_optimality_gap(
     )
 
 
-def _marginal_distance_matrix(pi: PathMeasure, p: float) -> np.ndarray:
-    """W_p between every pair of grid-time marginals (d = 1)."""
-    k = 2 ** pi.depth + 1
-    uniform = pi.uniform_weights()
-    if uniform:
-        sorted_cols = np.sort(pi.paths[:, :, 0], axis=0)
-    dmat = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if uniform:
-                d = float(
-                    np.mean(np.abs(sorted_cols[:, i] - sorted_cols[:, j]) ** p)
-                    ** (1.0 / p)
-                )
-            else:
-                d = wasserstein_p_clouds(
-                    pi.paths[:, i, 0], pi.weights,
-                    pi.paths[:, j, 0], pi.weights, p,
-                )
-            dmat[i, j] = dmat[j, i] = d
-    return dmat
-
-
 def marginal_curve_energy(pi: PathMeasure, spec: NormSpec) -> float:
     """Regularity energy of the induced marginal curve t -> mu_t (d = 1).
 
-    The curve metric is W_p between grid-time marginals (exact for
-    weighted atoms). Returns the p-th power energy:
-
-    * besov:  sum_m 2^{m(alpha p - 1)} sum_k W_p^p(mu_{t_k}, mu_{t_{k+1}})
-    * holder: (sup_{u<v} W_p(mu_u, mu_v)/(v-u)^gamma)^p
-    * pvar:   sup over dissections of sum W_p^p along the dissection
-
-    Each is dominated by the corresponding lift energy.
+    The curve metric is W_p between grid-time marginals, exact for
+    weighted atoms; the energy is the curve kernel of ``_curve_energy``
+    applied to the column-sorted paths (uniform weights) or to the exact
+    weighted W_p^p costs. Each energy is dominated by the corresponding
+    lift energy.
     """
     if pi.dim != 1:
         raise ValueError("marginal curve energy is only computed for d = 1")
-    if spec.kind == "besov":
-        total = 0.0
-        uniform = pi.uniform_weights()
-        if uniform:
-            sorted_cols = np.sort(pi.paths[:, :, 0], axis=0)
-        for m in range(pi.depth + 1):
-            step = 2 ** (pi.depth - m)
-            cost = 0.0
-            for k in range(2 ** m):
-                i, j = k * step, (k + 1) * step
-                if uniform:
-                    cost += float(
-                        np.mean(np.abs(sorted_cols[:, i] - sorted_cols[:, j])
-                                ** spec.p)
-                    )
-                else:
-                    cost += wasserstein_p_clouds(
-                        pi.paths[:, i, 0], pi.weights,
-                        pi.paths[:, j, 0], pi.weights, spec.p,
-                    ) ** spec.p
-            total += 2.0 ** (m * (spec.alpha * spec.p - 1)) * cost
-        return total
-    dmat = _marginal_distance_matrix(pi, spec.p)
-    times = pi.times()
-    if spec.kind == "holder":
-        best = 0.0
-        for i in range(len(times) - 1):
-            quot = dmat[i, i + 1 :] / (times[i + 1 :] - times[i]) ** spec.gamma
-            best = max(best, float(quot.max()))
-        return best ** spec.p
-    if spec.kind == "pvar":
-        k = len(times)
-        cum = np.zeros(k)
-        powd = dmat ** spec.p
-        for j in range(1, k):
-            cum[j] = np.max(cum[:j] + powd[:j, j])
-        return float(cum[-1])
-    raise ValueError(
-        "marginal curve energy supports besov, holder and pvar kinds"
-    )
+    if pi.uniform_weights():
+        slices = np.sort(pi.paths, axis=0).transpose(1, 0, 2)
+        cost = _slices_cost(np.ascontiguousarray(slices), spec.p)
+    else:
+        cost = _CloudCost(pi.paths.transpose(1, 0, 2), pi.weights, spec.p)
+    return _curve_energy(cost, spec)
 
 
 def bound_factor(alpha: float, p: float) -> float:
@@ -486,26 +479,17 @@ def tightness_diagnostic(
         raise ValueError("gamma must lie in (1/p, 1]")
     if len(pis) == 0:
         raise ValueError("need at least one path measure")
-    sup_ratio = 0.0
     start_moment = 0.0
-    max_depth = max(pi.depth for pi in pis)
-    per_level = np.zeros(max_depth + 1)
+    per_level = np.zeros(max(pi.depth for pi in pis) + 1)
     for pi in pis:
-        x0 = pi.paths[:, 0, :]
-        start_moment = max(
-            start_moment,
-            float(pi.weights @ np.sqrt(np.einsum("jd,jd->j", x0, x0))),
-        )
-        for m in range(pi.depth + 1):
-            sub = pi.paths[:, :: 2 ** (pi.depth - m), :]
-            diff = np.diff(sub, axis=1)
-            dist = np.sqrt(np.einsum("jkd,jkd->jk", diff, diff))
-            moments = pi.weights @ dist ** p  # one per interval k
+        x0_norms = np.linalg.norm(pi.paths[:, 0, :], axis=1)
+        start_moment = max(start_moment, float(pi.weights @ x0_norms))
+        levels = _level_costs(_lift_cost(pi, p))
+        for m, moments in enumerate(levels):  # one moment per interval k
             ratio = float(np.max(moments)) / (2.0 ** -m) ** (p * gamma)
             per_level[m] = max(per_level[m], ratio)
-            sup_ratio = max(sup_ratio, ratio)
     return TightnessReport(
-        sup_ratio=sup_ratio,
+        sup_ratio=float(per_level.max()),
         start_moment=start_moment,
         level_ratios=tuple(per_level),
     )

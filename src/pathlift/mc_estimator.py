@@ -9,9 +9,11 @@ keeps results independent of evaluation order.
 
 The estimators mirror the quantities of interest: the averaged
 Wasserstein distance between random marginals, the expected dyadic
-regularity energy of a random measure curve, expected lift energies, and
-the head-to-head lift comparison that exhibits one lift attaining the
-marginal-curve energy while another strictly exceeds it.
+regularity energy of a random measure curve (the ``path_norms`` kernel
+applied to the sorted slice atoms), expected lift energies, and the
+head-to-head lift comparison that exhibits one lift attaining the
+marginal-curve energy while another strictly exceeds it. A failed spot
+check names its scenario index and derived seed, to be replayed alone.
 """
 
 from dataclasses import dataclass
@@ -23,15 +25,15 @@ from . import _rng
 from .lift_builder import (
     MeasurePathSample,
     PathMeasure,
+    _curve_energy,
+    _lift_cost,
+    _slices_cost,
+    _sorted_slices,
     lift_energy,
     marginal_cloud,
 )
 from .path_norms import NormSpec
-from .quantile_transport import (
-    QuantileMeasure,
-    wasserstein_p,
-    wasserstein_p_clouds,
-)
+from .quantile_transport import wasserstein_p, wasserstein_p_clouds
 
 __all__ = [
     "McConfig",
@@ -57,7 +59,6 @@ class McConfig:
     base_seed: int
     depth: int = 8
     n_atoms: int = 256
-    report_confidence: bool = True
 
     def __post_init__(self):
         if self.n_mc < 1:
@@ -111,58 +112,14 @@ def expected_wp(sampler: Callable, p: float, cfg: McConfig) -> EnergyEstimate:
     return EnergyEstimate(mean=root, std_error=se, n=cfg.n_mc, spec=None)
 
 
-def _sorted_slices(mp: MeasurePathSample) -> np.ndarray:
-    """Marginals of a curve as sorted atom rows, shape (K, N)."""
-    cols = []
-    for m in mp.measures:
-        if isinstance(m, QuantileMeasure):
-            cols.append(m.quantiles)
-        else:
-            if m.dim != 1:
-                raise ValueError("exact W_p needs one-dimensional marginals")
-            cols.append(np.sort(m.positions[:, 0], kind="stable"))
-    if len({c.size for c in cols}) != 1:
-        raise ValueError("marginals must share their atom count")
-    return np.stack(cols)
-
-
 def curve_besov_energy(mp: MeasurePathSample, alpha: float, p: float) -> float:
     """Dyadic-increment energy sum_m 2^{m(alpha p - 1)} sum_k W_p^p of a curve."""
-    q = _sorted_slices(mp)
-    level = mp.level
-    total = 0.0
-    for m in range(level + 1):
-        sub = q[:: 2 ** (level - m)]
-        cost = np.sum(np.mean(np.abs(np.diff(sub, axis=0)) ** p, axis=1))
-        total += 2.0 ** (m * (alpha * p - 1)) * float(cost)
-    return total
+    return curve_energy(mp, NormSpec(kind="besov", p=p, alpha=alpha))
 
 
 def curve_energy(mp: MeasurePathSample, spec: NormSpec) -> float:
-    """Regularity energy of a measure curve under W_p (besov/holder/pvar)."""
-    if spec.kind == "besov":
-        return curve_besov_energy(mp, spec.alpha, spec.p)
-    q = _sorted_slices(mp)
-    k = q.shape[0]
-    dmat = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = float(np.mean(np.abs(q[i] - q[j]) ** spec.p) ** (1.0 / spec.p))
-            dmat[i, j] = dmat[j, i] = d
-    if spec.kind == "holder":
-        times = mp.times
-        best = 0.0
-        for i in range(k - 1):
-            quot = dmat[i, i + 1 :] / (times[i + 1 :] - times[i]) ** spec.gamma
-            best = max(best, float(quot.max()))
-        return best ** spec.p
-    if spec.kind == "pvar":
-        cum = np.zeros(k)
-        powd = dmat ** spec.p
-        for j in range(1, k):
-            cum[j] = np.max(cum[:j] + powd[:j, j])
-        return float(cum[-1])
-    raise ValueError("curve energy supports besov, holder and pvar kinds")
+    """W_p energy (besov/holder/pvar) of a curve from its sorted slice atoms."""
+    return _curve_energy(_slices_cost(_sorted_slices(mp), spec.p), spec)
 
 
 def process_besov_energy(
@@ -196,35 +153,24 @@ _SPOT_CHECK_TIMES = (0.25, 0.5, 1.0)
 _SPOT_CHECK_TOL = 1e-8
 
 
-def _marginal_atoms(measure) -> np.ndarray:
-    if isinstance(measure, QuantileMeasure):
-        return measure.quantiles
-    if measure.dim != 1:
-        raise ValueError("exact W_p needs one-dimensional marginals")
-    return measure.positions[:, 0]
-
-
 def _spot_check(
-    pi: PathMeasure,
-    mp: MeasurePathSample,
-    p: float,
-    label: str,
-    tol: float = _SPOT_CHECK_TOL,
+    pi: PathMeasure, slices: np.ndarray, p: float, label: str, tol: float,
+    i: int, seed: int,
 ):
-    """W_p(lift marginal, curve marginal) <= tol at three dyadic times."""
-    n_int = len(mp.measures) - 1
+    """W_p(lift marginal, curve atoms slices[k]) <= tol at three times."""
+    n_int = slices.shape[0] - 1
     for t in _SPOT_CHECK_TIMES:
         k = t * n_int
         if abs(k - round(k)) > 1e-9:
             raise ValueError("spot-check times need a depth >= 2 curve")
-        ys = _marginal_atoms(mp.measures[int(round(k))])
+        ys = slices[int(round(k))]
         wy = np.full(ys.size, 1.0 / ys.size)
         xs, wx = marginal_cloud(pi, t)
         dist = wasserstein_p_clouds(xs[:, 0], wx, ys, wy, p)
         if dist > tol:
             raise ValueError(
                 f"lift {label!r} does not match the marginal family at "
-                f"t={t}: W_p={dist:.3e}"
+                f"t={t} in scenario {i} (seed {seed}): W_p={dist:.3e}"
             )
 
 
@@ -272,13 +218,15 @@ def compare_lifts(
     vals_m = np.empty(cfg.n_mc)
     for i, seed in enumerate(scenario_seeds(cfg)):
         mp = marginal_sampler(seed)
+        # rejects marginals that are not one-dimensional, before the checks
+        vals_m[i] = curve_energy(mp, spec)
+        slices = _sorted_slices(mp)[:, :, 0]
         pi_a = sampler_a(seed)
         pi_b = sampler_b(seed)
-        _spot_check(pi_a, mp, spec.p, "a", marginal_tol)
-        _spot_check(pi_b, mp, spec.p, "b", marginal_tol)
+        _spot_check(pi_a, slices, spec.p, "a", marginal_tol, i, seed)
+        _spot_check(pi_b, slices, spec.p, "b", marginal_tol, i, seed)
         vals_a[i] = lift_energy(pi_a, spec)
         vals_b[i] = lift_energy(pi_b, spec)
-        vals_m[i] = curve_energy(mp, spec)
     est_a = EnergyEstimate(*_mean_se(vals_a), n=cfg.n_mc, spec=spec)
     est_b = EnergyEstimate(*_mean_se(vals_b), n=cfg.n_mc, spec=spec)
     est_m = EnergyEstimate(*_mean_se(vals_m), n=cfg.n_mc, spec=spec)
@@ -352,10 +300,7 @@ def _pooled_consistency(pooled: PathMeasure, lifts, p: float):
         dist = wasserstein_p_clouds(*margs[s], *margs[t], p) ** p
         ks = round(s * 2 ** pooled.depth)
         kt = round(t * 2 ** pooled.depth)
-        cost = float(
-            pooled.weights
-            @ np.abs(pooled.paths[:, kt, 0] - pooled.paths[:, ks, 0]) ** p
-        )
+        cost = float(_lift_cost(pooled, p)(ks, kt))
         if dist > cost + 1e-10 * max(1.0, cost):
             raise ValueError(
                 f"pooled marginals at ({s}, {t}) violate the coupling bound"

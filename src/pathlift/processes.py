@@ -25,8 +25,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import _rng
-from .errors import ParabolicityError
-from .lift_builder import MeasurePathSample, PathMeasure, build_dyadic_lift
+from .errors import DivergenceError, ParabolicityError
+from .lift_builder import (
+    MeasurePathSample,
+    PathMeasure,
+    _sorted_slices,
+    build_dyadic_lift,
+)
 from .path_norms import DyadicPath
 from .quantile_transport import QuantileMeasure, midpoint_grid
 
@@ -297,7 +302,8 @@ def euler_maruyama(
     held at x0, the hook for drifts that are singular at 0); the result
     is downsampled back to w's grid. Parabolicity of (a, sigma) is
     verified at every evaluation point and a violation raises naming the
-    point.
+    point. A path that leaves the finite floats raises DivergenceError
+    naming its first non-finite step, the time and both seeds.
     """
     substeps = int(substeps)
     level = substeps.bit_length() - 1
@@ -314,8 +320,8 @@ def euler_maruyama(
     k0 = int(round(k0))
     d = w.dim
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (d,):
-        raise ValueError(f"x0 must have dimension {d}")
+    if x0.shape != (d,) or not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be a finite vector of dimension {d}")
     wv = w.refine(level).values
     if zero_noise:
         db = np.zeros((substeps, d))
@@ -335,7 +341,9 @@ def euler_maruyama(
         if alpha is None:
             check = parabolicity_and_alpha(a_mat, s_mat)
             if not check.ok:
-                raise ParabolicityError(t, x, check.min_eigenvalue)
+                if np.all(np.isfinite(x)):
+                    raise ParabolicityError(t, x, check.min_eigenvalue)
+                break  # diverged: reported below with its first step
             alpha = check.alpha
             alpha_cache[key] = alpha
         b_vec = np.broadcast_to(
@@ -343,15 +351,12 @@ def euler_maruyama(
         )
         x = x + b_vec * h + alpha @ db[k] + s_mat @ (wv[k + 1] - wt)
         xs[k + 1] = x
+    finite = np.isfinite(xs).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise DivergenceError(step, step * h, w.seed, seed_b)
     stride = substeps // 2 ** w.depth
     return DyadicPath(w.depth, xs[::stride])
-
-
-def _atoms(measure) -> np.ndarray:
-    """Support of a marginal as an (N, d) array with uniform weights."""
-    if isinstance(measure, QuantileMeasure):
-        return measure.quantiles[:, None]
-    return measure.positions
 
 
 def sfpe_p_energy(
@@ -381,8 +386,7 @@ def sfpe_p_energy(
         times = horizon * mp.times
         b_t = np.empty(times.size)
         a_t = np.empty(times.size)
-        for i, t in enumerate(times):
-            xs = _atoms(mp.measures[i])
+        for i, (t, xs) in enumerate(zip(times, _sorted_slices(mp))):
             n, d = xs.shape
             bv = np.broadcast_to(
                 np.asarray(b_eval(t, xs), dtype=float), (n, d)

@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 
+# how far a weight vector may sum from 1, shared by every weighted input
+_WEIGHT_TOL = 1e-12
+
+
 def midpoint_grid(n: int) -> np.ndarray:
     """Quantile levels u_j = (j - 1/2)/n, j = 1..n."""
     if n < 1:
@@ -127,7 +131,7 @@ def wasserstein_p_clouds(
     Integrates |F_x^{-1}(u) - F_y^{-1}(u)|^p du by splitting [0,1] at the
     merged cumulative weights of both clouds; inside each segment both
     quantile functions are constant, so the result is exact. Weights must
-    be nonnegative and sum to 1 (within float tolerance).
+    be nonnegative and sum to 1 within 1e-12.
     """
     if not p >= 1:
         raise ValueError("p must be >= 1")
@@ -139,7 +143,7 @@ def wasserstein_p_clouds(
             raise ValueError("values/weights size mismatch or empty cloud")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
+        if abs(w.sum() - 1.0) > _WEIGHT_TOL:
             raise ValueError("weights must sum to 1")
         order = np.argsort(v, kind="stable")
         v, w = v[order], w[order]

@@ -335,6 +335,29 @@ def test_sde_degenerate_preset_exits_3(tmp_path, capsys):
     assert "parabolicity violated" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_sde_divergence_exits_3(tmp_path, capsys, monkeypatch):
+    from pathlift import SdeCoefficients, processes
+
+    def blowup():
+        return SdeCoefficients(
+            drift=lambda t, x, w: 1e3 * x * x,
+            diffusion_a=lambda t, x, w: np.zeros((x.size, x.size)),
+            common_sigma=lambda t, x, w: np.zeros((x.size, x.size)),
+            name="blowup",
+        )
+
+    monkeypatch.setitem(processes._PRESETS, "blowup", blowup)
+    cfg = write_config(tmp_path, {
+        "preset": "blowup", "depth": 2, "substeps": 256, "n_seeds": 1,
+        "x0": [1.0], "seed": 4,
+    })
+    assert main(["sde", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "diverged" in err
+    assert f"w.seed={_rng.derive_seed(4, 0)}" in err
+
+
 def test_sde_unknown_preset_exits_2(tmp_path, capsys):
     assert main(["sde", "--preset", "langevin",
                  "--out", str(tmp_path / "o")]) == 2

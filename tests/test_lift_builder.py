@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from pathlift import (
@@ -111,6 +113,11 @@ class TestMeasurePathSample:
         qs = [QuantileMeasure(np.zeros(4))] * 3
         with pytest.raises(ValueError, match="grid"):
             MeasurePathSample(np.array([0.0, 0.4, 1.0]), qs)
+        # a skew of 5e-6 is far beyond the 1e-12 grid tolerance
+        skewed = np.linspace(0.0, 1.0, 17)
+        skewed[-1] = 1.000005
+        with pytest.raises(ValueError, match="grid"):
+            MeasurePathSample(skewed, [QuantileMeasure(np.zeros(4))] * 17)
 
     def test_kinds_must_be_uniform(self):
         e = ParticleEnsemble(labels=np.zeros(4), positions=np.zeros(4))
@@ -295,6 +302,40 @@ def test_curve_energy_never_exceeds_lift_energy(kind, extra):
     for _ in range(20):
         pi = random_path_measure(gen)
         spec = NormSpec(kind=kind, p=2.0, **extra)
+        assert marginal_curve_energy(pi, spec) <= lift_energy(pi, spec) + 1e-10
+
+
+@st.composite
+def path_measures(draw):
+    """d = 1 path measures with uniform or nonuniform weights."""
+    depth = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 6))
+    coords = st.floats(-1.0, 1.0, allow_nan=False)
+    values = draw(st.lists(coords, min_size=n * (2 ** depth + 1),
+                           max_size=n * (2 ** depth + 1)))
+    paths = np.asarray(values).reshape(n, 2 ** depth + 1, 1)
+    if draw(st.booleans()):
+        w = np.full(n, 1.0 / n)
+    else:
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+        w = np.asarray(raw) / sum(raw)
+        w[-1] = 1.0 - float(w[:-1].sum())
+    return PathMeasure(depth=depth, paths=paths, weights=w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pi=path_measures(),
+    p=st.sampled_from([1.0, 2.0, 3.0]),
+    alpha=st.floats(0.05, 0.95),
+    gamma=st.floats(0.05, 1.0),
+)
+def test_curve_energy_never_exceeds_lift_energy_property(pi, p, alpha, gamma):
+    for spec in (
+        NormSpec(kind="besov", p=p, alpha=alpha),
+        NormSpec(kind="holder", p=p, gamma=gamma),
+        NormSpec(kind="pvar", p=p),
+    ):
         assert marginal_curve_energy(pi, spec) <= lift_energy(pi, spec) + 1e-10
 
 

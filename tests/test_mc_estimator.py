@@ -216,8 +216,11 @@ def test_compare_rejects_marginal_mismatch():
         return she_quantile_lift(seed + 1)
 
     cfg = McConfig(n_mc=2, base_seed=13)
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match="does not match") as info:
         compare_lifts(she_quantile_lift, wrong, she_curve, SPEC, cfg)
+    # the message names the scenario and the seed that replays it alone
+    seed = scenario_seeds(cfg)[0]
+    assert f"in scenario 0 (seed {seed})" in str(info.value)
 
 
 def test_compare_independent_lift_needs_loose_marginal_tol():

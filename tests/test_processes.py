@@ -1,5 +1,6 @@
 """Brownian fixtures, particle representations and the SDE integrator."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.special import ndtri
 
 from pathlift import (
     BrownianPath,
+    DivergenceError,
     NormSpec,
     ParabolicityError,
     ParticleEnsemble,
@@ -307,6 +309,9 @@ def test_euler_substep_validation():
         euler_maruyama(coeffs, w, 0, [0.0], substeps=16, t0=0.3)
     with pytest.raises(ValueError, match="dimension"):
         euler_maruyama(coeffs, w, 0, [0.0, 1.0], substeps=16)
+    # a start outside the floats is bad input, not a divergence
+    with pytest.raises(ValueError, match="finite"):
+        euler_maruyama(coeffs, w, 0, [np.inf], substeps=16)
 
 
 def test_euler_rejects_degenerate_coefficients():
@@ -318,6 +323,40 @@ def test_euler_rejects_degenerate_coefficients():
     except ParabolicityError as exc:
         assert exc.t == 0.0
         assert exc.min_eigenvalue == pytest.approx(-1.0)
+
+
+def blowup_coeffs():
+    """dX = 1e3 X^2 dt, which leaves the finite floats within a few steps."""
+    return SdeCoefficients(
+        drift=lambda t, x, w: 1e3 * x * x,
+        diffusion_a=lambda t, x, w: np.zeros((x.size, x.size)),
+        common_sigma=lambda t, x, w: np.zeros((x.size, x.size)),
+        name="blowup",
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_euler_divergence_names_step_time_and_seeds():
+    # the same recursion in Python floats finds the first infinite step
+    x, step = 1.0, 0
+    while np.isfinite(x):
+        x, step = x + 1e3 * x * x / 256, step + 1
+    w = BrownianPath(seed=25, depth=2)
+    with pytest.raises(DivergenceError, match="diverged") as info:
+        euler_maruyama(blowup_coeffs(), w, 77, [1.0], substeps=256)
+    exc = info.value
+    assert (exc.step, exc.t) == (step, step / 256)
+    assert (exc.seed, exc.seed_b) == (25, 77)
+    assert "w.seed=25" in str(exc) and "seed_b=77" in str(exc)
+    # a state-dependent diffusion sees the non-finite state first; it is
+    # still a divergence, not a parabolicity failure
+    grows = dataclasses.replace(
+        blowup_coeffs(), diffusion_a=lambda t, x, w: (1.0 + x @ x) * np.eye(1)
+    )
+    with pytest.raises(DivergenceError) as info:
+        euler_maruyama(grows, w, 77, [1.0], substeps=256)
+    assert info.value.step == step
 
 
 def test_euler_form2_tracks_the_quantile_trajectory():

@@ -237,6 +237,11 @@ def test_clouds_ignore_zero_weight_atoms():
 def test_clouds_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         wasserstein_p_clouds([0.0], [0.5], [0.0], [1.0], 2.0)
+    # the same 1e-12 tolerance as PathMeasure
+    with pytest.raises(ValueError, match="sum to 1"):
+        wasserstein_p_clouds(
+            [0.0, 1.0], [0.5, 0.5 + 1e-10], [0.0], [1.0], 2.0
+        )
     with pytest.raises(ValueError, match="nonnegative"):
         wasserstein_p_clouds([0.0, 1.0], [1.5, -0.5], [0.0], [1.0], 2.0)
     with pytest.raises(ValueError):
