@@ -46,7 +46,7 @@ def main():
     print(f"  W_2(mu_0.25, mu_1)            "
           f"{marginal_wasserstein(quantile, 0.25, 1.0, P):.9f}")
     print(f"  |sqrt(1)-sqrt(0.25)|*sqrt(m2) "
-          f"{0.5 * np.sqrt(np.mean(mp.measures[-1].quantiles ** 2)):.9f}")
+          f"{0.5 * np.sqrt(np.mean(mp.atoms[-1] ** 2)):.9f}")
 
     print()
     print(f"refinement track (bound factor {bound_factor(ALPHA, P):.6f}):")

@@ -14,6 +14,7 @@ violates parabolicity).
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -288,22 +289,28 @@ _DEMO_DEFAULTS = {
 }
 
 
-def _holder_points(preset, p, depth, n_atoms, cfg, s, ks):
+def _she_wp_sampler(depth, n_atoms, s, t):
+    """seed -> the SHE marginals N(W_s, s) and N(W_t, t) at grid times s, t."""
     c = ndtri(midpoint_grid(n_atoms))
+    i, j = round(s * 2 ** depth), round(t * 2 ** depth)
+
+    def sampler(sd):
+        wv = BrownianPath(seed=sd, depth=depth).values[:, 0]
+        return (
+            QuantileMeasure(wv[i] + np.sqrt(s) * c),
+            QuantileMeasure(wv[j] + np.sqrt(t) * c),
+        )
+
+    return sampler
+
+
+def _holder_points(preset, p, depth, n_atoms, cfg, s, ks):
     points = []
     for k in ks:
         h = 2.0 ** -k
         _dyadic_index(s + h, depth, "s+h")
         if preset == "she":
-            def sampler(sd, h=h):
-                w = BrownianPath(seed=sd, depth=depth)
-                wv = w.values[:, 0]
-                i = round(s * 2 ** depth)
-                j = round((s + h) * 2 ** depth)
-                return (
-                    QuantileMeasure(wv[i] + np.sqrt(s) * c),
-                    QuantileMeasure(wv[j] + np.sqrt(s + h) * c),
-                )
+            sampler = _she_wp_sampler(depth, n_atoms, s, s + h)
             est = expected_wp(sampler, p, cfg)
             points.append((h, est.mean, est.std_error))
         else:
@@ -345,18 +352,19 @@ def _cmd_demo(config, out_dir, seed, preset):
     cfg = McConfig(n_mc=n_mc, base_seed=seed, depth=depth, n_atoms=n_atoms)
 
     if preset == "she":
-        marginal_sampler = lambda sd: stochastic_heat_scenario(
-            sd, depth, n_atoms
-        ).measure_path
-        q_sampler = lambda sd: stochastic_heat_scenario(
-            sd, depth, n_atoms, with_lift=True
-        ).lift
+        # one entry, keyed on the seed: the samplers of one seed share it
+        scenario = functools.lru_cache(maxsize=1)(
+            lambda sd: stochastic_heat_scenario(sd, depth, n_atoms)
+        )
+        marginal_sampler = lambda sd: scenario(sd).measure_path
+        q_sampler = lambda sd: build_dyadic_lift(
+            scenario(sd).measure_path, "quantile", depth
+        )
         sh_sampler = lambda sd: build_shuffled_lift(
-            stochastic_heat_scenario(sd, depth, n_atoms).measure_path,
-            _rng.derive_seed(sd, 1),
+            scenario(sd).measure_path, _rng.derive_seed(sd, 1)
         )
         ind_sampler = lambda sd: independent_particle_paths(
-            stochastic_heat_scenario(sd, depth, n_atoms), sd, count
+            scenario(sd), sd, count
         )
     else:
         curve = heat_flow_path(depth, n_atoms)
@@ -365,6 +373,18 @@ def _cmd_demo(config, out_dir, seed, preset):
         q_sampler = lambda sd: qlift
         sh_sampler = lambda sd: build_shuffled_lift(curve, sd)
         ind_sampler = lambda sd: brownian_bundle(sd, depth, count)
+
+    sd0 = scenario_seeds(cfg)[0]
+    if preset == "she":
+        # drawn first, so the comparison's first seed sd0 finds it built
+        scn = scenario(sd0)
+        quantile_paths = quantile_particle_paths(scn, paths_dump)
+        independent_paths = independent_particle_paths(scn, sd0, count)
+    else:
+        quantile_paths = build_dyadic_lift(
+            heat_flow_path(depth, paths_dump), "quantile", depth
+        )
+        independent_paths = brownian_bundle(sd0, depth, count)
 
     comp = compare_lifts(q_sampler, sh_sampler, marginal_sampler, spec, cfg)
     ind_est = expected_lift_energy(ind_sampler, spec, cfg)
@@ -376,17 +396,6 @@ def _cmd_demo(config, out_dir, seed, preset):
         np.log([pt[0] for pt in points]),
         np.log([pt[1] for pt in points]), 1,
     )[0])
-
-    sd0 = scenario_seeds(cfg)[0]
-    if preset == "she":
-        scn = stochastic_heat_scenario(sd0, depth, paths_dump)
-        quantile_paths = quantile_particle_paths(scn)
-        independent_paths = independent_particle_paths(scn, sd0, count)
-    else:
-        quantile_paths = build_dyadic_lift(
-            heat_flow_path(depth, paths_dump), "quantile", depth
-        )
-        independent_paths = brownian_bundle(sd0, depth, count)
 
     files = []
     for name, pm in (
@@ -445,16 +454,7 @@ def _cmd_demo(config, out_dir, seed, preset):
         "files": sorted(files + ["demo.json"]),
     }
     if preset == "she":
-        c = ndtri(midpoint_grid(n_atoms))
-
-        def wp01_sampler(sd):
-            w = BrownianPath(seed=sd, depth=0)
-            return (
-                QuantileMeasure(np.zeros(n_atoms)),
-                QuantileMeasure(w.values[1, 0] + c),
-            )
-
-        wp01 = expected_wp(wp01_sampler, 2.0, cfg)
+        wp01 = expected_wp(_she_wp_sampler(0, n_atoms, 0.0, 1.0), 2.0, cfg)
         summary["wp_01"] = {"estimate": wp01.mean,
                             "std_error": wp01.std_error, "n": wp01.n}
     files.append(_write_json(out_dir, "demo.json", summary))
@@ -588,20 +588,14 @@ def _cmd_estimate(config, out_dir, seed, preset):
         n_mc=int(config.get("n_mc", 1000)), base_seed=seed,
         depth=depth, n_atoms=n_atoms,
     )
-    c = ndtri(midpoint_grid(n_atoms))
 
     if target == "wp":
         s = float(config.get("s", 0.0))
         t = float(config.get("t", 1.0))
-        i = _dyadic_index(s, depth, "s")
-        j = _dyadic_index(t, depth, "t")
+        _dyadic_index(s, depth, "s")
+        _dyadic_index(t, depth, "t")
         if fixture == "she":
-            def sampler(sd):
-                wv = BrownianPath(seed=sd, depth=depth).values[:, 0]
-                return (
-                    QuantileMeasure(wv[i] + np.sqrt(s) * c),
-                    QuantileMeasure(wv[j] + np.sqrt(t) * c),
-                )
+            sampler = _she_wp_sampler(depth, n_atoms, s, t)
         else:
             mu = heat_flow_marginal(s, n_atoms)
             nu = heat_flow_marginal(t, n_atoms)

@@ -2,11 +2,13 @@
 
 Given a curve of measures sampled at the dyadic times of level n, a lift
 is a weighted family of dyadic paths whose time-t marginals reproduce
-the curve. The builder couples consecutive (in fact all) time slices
-through either the quantile multi-coupling (d = 1) or a shared particle
-label set (nu-based, any d) and interpolates linearly in space, so every
-pairwise marginal of the constructed lift is an optimal coupling and the
-coupling is nested across all coarser dyadic levels.
+the curve. A curve is one validated atom array of shape (K, N, d): sorted
+quantile rows (d = 1), or particle positions over one shared label set
+(nu-based, any d). Either way atom j of every slice is coupled to atom j
+of every other, so the lift's paths are the same array read path by path
+(a view, not a copy), every pairwise marginal of a quantile lift is an
+optimal coupling, and the coupling is nested across all coarser dyadic
+levels.
 
 Energies use the one set of kernels in ``path_norms``, which serves paths,
 lifts and curves: a lift pays the path energy path by path, and a curve
@@ -17,7 +19,7 @@ W_p^p in place of |X_v - X_u|^p. The lift energy never undercuts it.
 import csv
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TextIO, Union
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .path_norms import (
 from .quantile_transport import (
     _WEIGHT_TOL,
     QuantileMeasure,
-    monotone_multicoupling,
     wasserstein_p_clouds,
 )
 
@@ -135,56 +136,88 @@ class PathMeasure:
         )
 
 
-MeasureLike = Union[QuantileMeasure, ParticleEnsemble]
+def _at(times: np.ndarray, k: int) -> str:
+    """Where slice k of a curve sits, for error messages."""
+    return f"slice k={k} (t={float(times[k])!r})"
 
 
 @dataclass(frozen=True)
 class MeasurePathSample:
-    """A measure-valued curve sampled at the dyadic times of one level.
+    """A measure-valued curve on the level-n dyadic grid times (K = 2^n + 1).
 
-    measures are either all QuantileMeasure or all ParticleEnsemble; in
-    the latter case they must share the label set.
+    atoms (K, N, d) holds the N equal-weight atoms of slice k in row k; a
+    (K, N) array is read as d = 1. labels is None for a quantile curve
+    (d = 1, rows sorted) or one (N, d) label array shared by every slice
+    of an ensemble curve. Validated once, naming the first bad slice; the
+    curve keeps read-only views, so its lifts share them without a copy.
     """
 
     times: np.ndarray
-    measures: tuple
+    atoms: np.ndarray
+    labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        measures = tuple(self.measures)
-        if times.ndim != 1 or times.size != len(measures):
-            raise ValueError("one measure per time point required")
-        if len(measures) < 2:
-            raise ValueError("need at least the two endpoint times")
-        n_int = len(measures) - 1
-        level = n_int.bit_length() - 1
-        if 2 ** level != n_int:
+        atoms = np.asarray(self.atoms, dtype=float).view()
+        if atoms.ndim == 2:
+            atoms = atoms[:, :, None]
+        k = times.size
+        if atoms.ndim != 3 or atoms.size == 0 or times.shape != (len(atoms),):
+            raise ValueError("atoms must be nonempty (K, N, d), K = len(times)")
+        if k < 2 or (k - 1) & (k - 2):
             raise ValueError("number of time points must be 2^n + 1")
-        grid = np.linspace(0.0, 1.0, n_int + 1)
-        if not np.allclose(times, grid, rtol=0, atol=1e-12):
+        if not np.allclose(times, np.linspace(0.0, 1.0, k), rtol=0, atol=1e-12):
             raise ValueError("times must be the dyadic level-n grid of [0, 1]")
-        kinds = {type(m) for m in measures}
-        if len(kinds) != 1 or not (
-            isinstance(measures[0], (QuantileMeasure, ParticleEnsemble))
-        ):
-            raise ValueError(
-                "measures must be uniformly QuantileMeasure or ParticleEnsemble"
-            )
+        if not np.isfinite(atoms).all():
+            where = _at(times, np.argmin(np.isfinite(atoms).all(axis=(1, 2))))
+            raise ValueError(f"{where}: atoms must be finite")
+        labels = self.labels
+        if labels is None:
+            if atoms.shape[2] != 1:
+                raise ValueError("a quantile curve is one-dimensional")
+            unsorted = (np.diff(atoms[:, :, 0], axis=1) < 0).any(axis=1)
+            if unsorted.any():
+                where = _at(times, np.argmax(unsorted))
+                raise ValueError(f"{where}: quantiles must be nondecreasing")
+        else:
+            labels = np.asarray(labels, dtype=float).view()
+            if labels.shape != atoms.shape[1:] or not np.isfinite(labels).all():
+                raise ValueError("labels must be finite, one (d,) row per atom")
+            labels.flags.writeable = False
+        atoms.flags.writeable = False
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def from_measures(cls, measures: Sequence[MeasureLike]) -> "MeasurePathSample":
-        n = len(measures) - 1
-        return cls(np.linspace(0.0, 1.0, n + 1), tuple(measures))
+    def from_measures(cls, measures: Sequence) -> "MeasurePathSample":
+        """Stack per-slice QuantileMeasure or ParticleEnsemble objects that
+        share their atom count (and, for ensembles, their labels)."""
+        if all(isinstance(m, QuantileMeasure) for m in measures):
+            rows, labels = [m.quantiles[:, None] for m in measures], None
+        elif all(isinstance(m, ParticleEnsemble) for m in measures):
+            rows, labels = [m.positions for m in measures], measures[0].labels
+        else:
+            raise ValueError("measures must be uniformly QuantileMeasure or "
+                             "ParticleEnsemble")
+        times = np.linspace(0.0, 1.0, len(rows))
+        for k, (m, row) in enumerate(zip(measures, rows)):
+            if row.shape != rows[0].shape:
+                raise ValueError(
+                    f"{_at(times, k)}: {row.shape[0]} atoms in dimension "
+                    f"{row.shape[1]}, slice 0 has {rows[0].shape}"
+                )
+            if labels is not None and not np.array_equal(m.labels, labels):
+                raise ValueError(f"{_at(times, k)}: labels differ from slice 0")
+        return cls(times, np.stack(rows), labels)
 
     @property
     def level(self) -> int:
-        return (len(self.measures) - 1).bit_length() - 1
+        return (self.times.size - 1).bit_length() - 1
 
     @property
     def is_quantile(self) -> bool:
-        return isinstance(self.measures[0], QuantileMeasure)
+        return self.labels is None
 
 
 def build_dyadic_lift(
@@ -196,32 +229,20 @@ def build_dyadic_lift(
     pairwise dyadic marginal of the result is the monotone, hence
     optimal, coupling, nested across every coarser level m <= n.
     coupler "nu_based" pairs particles by their shared labels. Paths
-    interpolate linearly between the coupled points.
+    interpolate linearly between the coupled points. Either way the paths
+    are a read-only transposed view of the curve's atoms, not a copy.
     """
-    if len(mp.measures) != 2 ** n + 1:
-        raise ValueError(
-            f"level-{n} lift needs {2 ** n + 1} time points, "
-            f"got {len(mp.measures)}"
-        )
-    if coupler == "quantile":
-        if not mp.is_quantile:
-            raise ValueError("quantile coupler needs QuantileMeasure slices")
-        traj = monotone_multicoupling(mp.measures)  # (N, K)
-        paths = traj[:, :, None]
-    elif coupler == "nu_based":
-        if mp.is_quantile:
-            raise ValueError("nu_based coupler needs ParticleEnsemble slices")
-        first = mp.measures[0]
-        for e in mp.measures[1:]:
-            if e.fingerprint != first.fingerprint:
-                raise ValueError("ensembles do not share labels")
-        paths = np.stack([e.positions for e in mp.measures], axis=1)
-    else:
+    if mp.level != n:
+        raise ValueError(f"level-{n} lift needs {2 ** n + 1} time points, "
+                         f"got {mp.times.size}")
+    if coupler not in ("quantile", "nu_based"):
         raise ValueError(f"unknown coupler {coupler!r}")
-    n_atoms = paths.shape[0]
+    if (coupler == "quantile") != mp.is_quantile:
+        raise ValueError(f"{coupler} coupler does not fit this curve's kind")
+    n_atoms = mp.atoms.shape[1]
     return PathMeasure(
         depth=n,
-        paths=paths,
+        paths=mp.atoms.transpose(1, 0, 2),
         weights=np.full(n_atoms, 1.0 / n_atoms),
     )
 
@@ -237,7 +258,7 @@ def build_shuffled_lift(mp: MeasurePathSample, seed: int) -> PathMeasure:
     """
     if not mp.is_quantile:
         raise ValueError("shuffled lift is a 1d construction")
-    traj = monotone_multicoupling(mp.measures).copy()
+    traj = mp.atoms[:, :, 0].T.copy()  # (N, K), writable
     n_atoms = traj.shape[0]
     for i in range(1, traj.shape[1]):
         perm = _rng.stream(seed, f"shuffle/{i}").permutation(n_atoms)
@@ -253,18 +274,11 @@ def _sorted_slices(mp: MeasurePathSample) -> np.ndarray:
     """Atoms of every slice of a curve, shape (K, N, d), equal weights.
 
     In d = 1 row k is sorted, the quantile function of slice k (quantile
-    slices are not sorted again); ensembles in d > 1 keep label order.
+    rows are sorted already); ensembles in d > 1 keep label order.
     """
-    rows = [
-        m.quantiles[:, None] if mp.is_quantile else m.positions
-        for m in mp.measures
-    ]
-    if len({r.shape for r in rows}) != 1:
-        raise ValueError("marginals must share their atom count")
-    atoms = np.stack(rows)
-    if not mp.is_quantile and atoms.shape[2] == 1:
-        atoms.sort(axis=1, kind="stable")
-    return atoms
+    if mp.is_quantile or mp.atoms.shape[2] > 1:
+        return mp.atoms
+    return np.sort(mp.atoms, axis=1, kind="stable")
 
 
 def _slices_cost(slices: np.ndarray, p: float) -> _PairCost:
@@ -441,11 +455,8 @@ def refine_and_track(
     finest = None
     for n in range(n_max + 1):
         mp = mp_provider(n)
-        if coupler is None:
-            use = "quantile" if mp.is_quantile else "nu_based"
-        else:
-            use = coupler
-        pi = build_dyadic_lift(mp, use, n)
+        kind = "quantile" if mp.is_quantile else "nu_based"
+        pi = build_dyadic_lift(mp, coupler or kind, n)
         rows.append((n, lift_energy(pi, spec)))
         if n == n_max:
             finest = pi

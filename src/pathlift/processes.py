@@ -6,6 +6,8 @@ the reference fixtures for everything else in the package: lifts built
 from their quantile curves have known energies, and the two particle
 representations (independent noise B + W versus quantile trajectories
 driven by W alone) bracket the variational problem from above and below.
+Each curve is built as one (K, N) quantile array in a single broadcast,
+W_{t_k} + sqrt(t_k) * c_j, with no per-slice objects.
 
 Brownian paths are generated by dyadic midpoint (bridge) refinement with
 one RNG stream per level, so deepening the grid never changes the values
@@ -29,7 +31,6 @@ from .errors import DivergenceError, ParabolicityError
 from .lift_builder import (
     MeasurePathSample,
     PathMeasure,
-    _sorted_slices,
     build_dyadic_lift,
 )
 from .path_norms import DyadicPath
@@ -161,11 +162,10 @@ def heat_flow_marginal(t: float, n: int) -> QuantileMeasure:
 
 
 def heat_flow_path(depth: int, n: int) -> MeasurePathSample:
-    """The deterministic curve t -> N(0, t) on the level-`depth` grid."""
+    """The curve t -> N(0, t) on the level-`depth` grid, sqrt(t_k) * c_j."""
     times = np.linspace(0.0, 1.0, 2 ** depth + 1)
-    return MeasurePathSample(
-        times, tuple(heat_flow_marginal(t, n) for t in times)
-    )
+    c = ndtri(midpoint_grid(n))
+    return MeasurePathSample(times, np.sqrt(times)[:, None] * c)
 
 
 def stochastic_heat_scenario(
@@ -174,18 +174,14 @@ def stochastic_heat_scenario(
     """Sample one scenario of the randomly forced heat flow.
 
     The common noise W is drawn at the requested depth and the marginals
-    are N(W_t, t), stored as quantile measures with n atoms: atom j sits
-    at W_t + sqrt(t) * ndtri(u_j). With ``with_lift`` the quantile lift
-    is attached.
+    are N(W_t, t), one (K, n) quantile array built in one broadcast: atom
+    j of slice k sits at W_{t_k} + sqrt(t_k) * ndtri(u_j). With
+    ``with_lift`` the quantile lift (a view of that array) is attached.
     """
     w = BrownianPath(seed=seed, depth=depth)
     c = ndtri(midpoint_grid(n))
     times = w.times()
-    wv = w.values[:, 0]
-    measures = tuple(
-        QuantileMeasure(wv[k] + np.sqrt(t) * c) for k, t in enumerate(times)
-    )
-    mp = MeasurePathSample(times, measures)
+    mp = MeasurePathSample(times, w.values + np.sqrt(times)[:, None] * c)
     lift = build_dyadic_lift(mp, "quantile", depth) if with_lift else None
     return ScenarioSample(
         seed=seed, common_path=w, measure_path=mp, lift=lift
@@ -244,14 +240,11 @@ def quantile_particle_paths(
     if w.dim != 1:
         raise ValueError("quantile representation is one-dimensional")
     if n is None:
-        n = scenario.measure_path.measures[0].grid_size
-    c = ndtri(midpoint_grid(n))
-    traj = c[:, None] * np.sqrt(w.times())[None, :] + w.values[:, 0][None, :]
-    return PathMeasure(
-        depth=w.depth,
-        paths=traj[:, :, None],
-        weights=np.full(n, 1.0 / n),
-    )
+        n = scenario.measure_path.atoms.shape[1]
+    times = w.times()
+    atoms = w.values + np.sqrt(times)[:, None] * ndtri(midpoint_grid(n))
+    curve = MeasurePathSample(times, atoms)
+    return build_dyadic_lift(curve, "quantile", w.depth)
 
 
 @dataclass(frozen=True)
@@ -386,7 +379,7 @@ def sfpe_p_energy(
         times = horizon * mp.times
         b_t = np.empty(times.size)
         a_t = np.empty(times.size)
-        for i, (t, xs) in enumerate(zip(times, _sorted_slices(mp))):
+        for i, (t, xs) in enumerate(zip(times, mp.atoms)):
             n, d = xs.shape
             bv = np.broadcast_to(
                 np.asarray(b_eval(t, xs), dtype=float), (n, d)
@@ -497,10 +490,12 @@ def coefficient_preset(name: str) -> SdeCoefficients:
 
 
 def scenario_to_json(s: ScenarioSample) -> dict:
+    """Seed, depth, common path W and the marginals, one quantile row per
+    grid time (the rows of the curve's atom array)."""
     w = s.common_path.values
     return {
         "seed": int(s.seed),
         "depth": int(s.common_path.depth),
         "W": w[:, 0].tolist() if w.shape[1] == 1 else w.tolist(),
-        "marginals": [m.quantiles.tolist() for m in s.measure_path.measures],
+        "marginals": s.measure_path.atoms[:, :, 0].tolist(),
     }

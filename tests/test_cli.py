@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from pathlift import (
     qm_to_csv,
     wasserstein_p,
 )
-from pathlift import _rng
+from pathlift import _rng, cli
 from pathlift.cli import main
 
 
@@ -269,6 +270,26 @@ def test_demo_she_bundle(tmp_path, capsys):
     assert obj["comparison"]["smaller"] == "quantile"
     assert "wp_01" in obj
     assert obj["wp_01"]["n"] == 3
+
+
+def test_demo_she_builds_each_scenario_at_most_twice(
+    tmp_path, capsys, monkeypatch
+):
+    builds = Counter()
+    build = cli.stochastic_heat_scenario
+
+    def counted(seed, *args, **kwargs):
+        builds[seed] += 1
+        return build(seed, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "stochastic_heat_scenario", counted)
+    cfg = write_config(tmp_path, {
+        "preset": "she", "p": 4.0, "alpha": 0.3, "depth": 4,
+        "n_atoms": 8, "n_mc": 5, "paths_dump": 4, "count": 2, "seed": 1,
+    })
+    assert main(["demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(builds) == 5
+    assert max(builds.values()) <= 2
 
 
 def test_demo_preset_flag_and_validation(tmp_path, capsys):

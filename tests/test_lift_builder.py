@@ -110,14 +110,13 @@ class TestMeasurePathSample:
             MeasurePathSample.from_measures(qs)
 
     def test_times_must_be_the_dyadic_grid(self):
-        qs = [QuantileMeasure(np.zeros(4))] * 3
         with pytest.raises(ValueError, match="grid"):
-            MeasurePathSample(np.array([0.0, 0.4, 1.0]), qs)
+            MeasurePathSample(np.array([0.0, 0.4, 1.0]), np.zeros((3, 4)))
         # a skew of 5e-6 is far beyond the 1e-12 grid tolerance
         skewed = np.linspace(0.0, 1.0, 17)
         skewed[-1] = 1.000005
         with pytest.raises(ValueError, match="grid"):
-            MeasurePathSample(skewed, [QuantileMeasure(np.zeros(4))] * 17)
+            MeasurePathSample(skewed, np.zeros((17, 4)))
 
     def test_kinds_must_be_uniform(self):
         e = ParticleEnsemble(labels=np.zeros(4), positions=np.zeros(4))
@@ -130,6 +129,37 @@ class TestMeasurePathSample:
         assert mp.level == 3
         assert mp.is_quantile
 
+    def test_unsorted_row_names_its_slice(self):
+        atoms = np.tile(np.arange(4.0), (5, 1))
+        atoms[3, [1, 2]] = atoms[3, [2, 1]]
+        with pytest.raises(ValueError, match=r"slice k=3 \(t=0\.75\).*nondecreasing"):
+            MeasurePathSample(np.linspace(0.0, 1.0, 5), atoms)
+
+    def test_non_finite_atom_names_its_slice(self):
+        atoms = np.tile(np.arange(4.0), (5, 1))
+        atoms[2, 0] = -np.inf
+        atoms[4, 1] = np.nan
+        with pytest.raises(ValueError, match=r"slice k=2 \(t=0\.5\).*finite"):
+            MeasurePathSample(np.linspace(0.0, 1.0, 5), atoms)
+
+    def test_atom_count_mismatch_names_its_slice(self):
+        qs = [QuantileMeasure(np.zeros(4))] * 9
+        qs[6] = QuantileMeasure(np.zeros(3))
+        with pytest.raises(ValueError, match=r"slice k=6 \(t=0\.75\): 3 atoms"):
+            MeasurePathSample.from_measures(qs)
+
+    def test_atoms_are_read_only_and_shared_with_the_quantile_lift(self):
+        mp = heat_sample(2)
+        pi = build_dyadic_lift(mp, "quantile", 2)
+        assert np.shares_memory(pi.paths, mp.atoms)
+        with pytest.raises(ValueError, match="read-only"):
+            pi.paths[0, 1, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            mp.atoms[1] += 1.0
+        # the shuffled lift permutes its own copy
+        shuf = build_shuffled_lift(mp, seed=1)
+        assert not np.shares_memory(shuf.paths, mp.atoms)
+
 
 # ---------------------------------------------------------------------------
 # lift construction
@@ -140,7 +170,7 @@ def test_quantile_lift_reproduces_marginals_exactly():
     pi = build_dyadic_lift(mp, "quantile", 2)
     assert pi.paths.shape == (16, 5, 1)
     for k, t in enumerate(mp.times):
-        assert np.array_equal(marginal(pi, t).quantiles, mp.measures[k].quantiles)
+        assert np.array_equal(marginal(pi, t).quantiles, mp.atoms[k, :, 0])
 
 
 def test_quantile_lift_pairwise_couplings_are_optimal():
@@ -181,13 +211,14 @@ def test_nu_based_lift_stacks_positions():
 
 
 def test_nu_based_lift_needs_shared_labels():
+    # one shared label array per curve: ensembles over different labels
+    # cannot form a curve, so they never reach the nu-based coupler
     gen = np.random.default_rng(1)
     mk = lambda: ParticleEnsemble(
         labels=gen.standard_normal((4, 1)), positions=np.zeros((4, 1))
     )
-    mp = MeasurePathSample.from_measures([mk(), mk(), mk()])
-    with pytest.raises(ValueError, match="labels"):
-        build_dyadic_lift(mp, "nu_based", 1)
+    with pytest.raises(ValueError, match=r"slice k=1 .*labels"):
+        MeasurePathSample.from_measures([mk(), mk(), mk()])
 
 
 def test_shuffled_lift_keeps_marginals_and_loses_optimality():
@@ -196,7 +227,7 @@ def test_shuffled_lift_keeps_marginals_and_loses_optimality():
     shuf = build_shuffled_lift(mp, seed=7)
     for k, t in enumerate(mp.times):
         assert np.array_equal(
-            np.sort(shuf.paths[:, k, 0]), mp.measures[k].quantiles
+            np.sort(shuf.paths[:, k, 0]), mp.atoms[k, :, 0]
         )
     gap = pairwise_optimality_gap(shuf, 0.5, 1.0, 2.0)
     assert gap.gap > 1e-6

@@ -156,9 +156,9 @@ def test_heat_flow_wasserstein_closed_form():
 def test_heat_flow_path_structure():
     mp = heat_flow_path(3, 16)
     assert mp.level == 3
-    assert len(mp.measures) == 9
+    assert mp.atoms.shape == (9, 16, 1)
     assert mp.is_quantile
-    assert np.array_equal(mp.measures[0].quantiles, np.zeros(16))
+    assert np.array_equal(mp.atoms[0, :, 0], np.zeros(16))
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +169,9 @@ def test_scenario_marginals_track_the_common_path():
     s = stochastic_heat_scenario(seed=11, depth=4, n=33)
     w = s.common_path.values[:, 0]
     # at t = 0 the marginal is the point mass at W_0 = 0
-    assert np.array_equal(s.measure_path.measures[0].quantiles, np.zeros(33))
+    assert np.array_equal(s.measure_path.atoms[0, :, 0], np.zeros(33))
     for k, t in enumerate(s.measure_path.times):
-        mean = s.measure_path.measures[k].mean()
+        mean = float(np.mean(s.measure_path.atoms[k]))
         assert mean == pytest.approx(w[k], abs=1e-10)
 
 
@@ -180,7 +180,7 @@ def test_scenario_with_lift_attaches_exact_marginals():
     assert s.lift is not None
     for k, t in enumerate(s.measure_path.times):
         assert np.array_equal(
-            marginal(s.lift, t).quantiles, s.measure_path.measures[k].quantiles
+            marginal(s.lift, t).quantiles, s.measure_path.atoms[k, :, 0]
         )
 
 
