@@ -13,7 +13,6 @@ violates parabolicity).
 """
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -23,6 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import _rng
+from ._codec import write_table
 from .errors import MathPreconditionError, ParabolicityError
 from .lift_builder import (
     bound_factor,
@@ -101,26 +101,19 @@ def _check_keys(config, allowed, command):
         )
 
 
-def _write_json(out_dir, name, obj):
-    (out_dir / name).write_text(
-        json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+def _write_file(out_dir, name, write):
+    with open(out_dir / name, "w", encoding="utf-8", newline="") as f:
+        write(f)
     return name
+
+
+def _write_json(out_dir, name, obj):
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _write_file(out_dir, name, lambda f: f.write(text))
 
 
 def _write_csv(out_dir, name, header, rows):
-    with open(out_dir / name, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return name
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+    return _write_file(out_dir, name, lambda f: write_table(f, header, rows))
 
 
 def _dyadic_index(t, depth, what):
@@ -248,6 +241,8 @@ def _cmd_lift(config, out_dir, seed, preset):
         provider = lambda n: stochastic_heat_scenario(
             seed, n, n_atoms
         ).measure_path
+    # one entry: refine_and_track ends on the finest curve, reused below
+    provider = functools.lru_cache(maxsize=1)(provider)
     levels = refine_and_track(provider, spec, depth)
     finest = build_dyadic_lift(provider(depth), "quantile", depth)
     final_energy = levels[-1].energy
@@ -275,10 +270,9 @@ def _cmd_lift(config, out_dir, seed, preset):
         }),
     ]
     if config.get("dump_paths", False):
-        with open(out_dir / "lift_paths.csv", "w", encoding="utf-8",
-                  newline="") as f:
-            pm_to_csv(finest, f)
-        files.append("lift_paths.csv")
+        files.append(_write_file(
+            out_dir, "lift_paths.csv", lambda f: pm_to_csv(finest, f)
+        ))
     print(f"lift: final energy {final_energy!r} ({', '.join(files)})")
     return 0
 
@@ -402,9 +396,7 @@ def _cmd_demo(config, out_dir, seed, preset):
         ("demo_quantile_paths.csv", quantile_paths),
         ("demo_independent_paths.csv", independent_paths),
     ):
-        with open(out_dir / name, "w", encoding="utf-8", newline="") as f:
-            pm_to_csv(pm, f)
-        files.append(name)
+        files.append(_write_file(out_dir, name, lambda f: pm_to_csv(pm, f)))
     files.append(_write_csv(
         out_dir, "demo_comparison.csv",
         ["lift", "energy", "std_error"],

@@ -16,14 +16,14 @@ energy is the same kernel applied to the sorted atoms of the slices, with
 W_p^p in place of |X_v - X_u|^p. The lift energy never undercuts it.
 """
 
-import csv
-import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import _rng
+from ._codec import grid_depth, json_fields, read_table, write_table
 from .nu_transport import ParticleEnsemble
 from .path_norms import (
     DyadicPath,
@@ -520,67 +520,37 @@ def pm_to_json(pi: PathMeasure) -> dict:
 
 
 def pm_from_json(obj) -> PathMeasure:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    try:
-        depth = int(obj["depth"])
-        weights = np.asarray(obj["weights"], dtype=float)
-        paths = np.asarray(obj["paths"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed path measure object: {exc}") from exc
+    depth, dim, weights, paths = json_fields(
+        obj, "path measure", depth=int, dim=(int, None), weights=list,
+        paths=list,
+    )
     pi = PathMeasure(depth=depth, paths=paths, weights=weights)
-    if "dim" in obj and int(obj["dim"]) != pi.dim:
+    if dim is not None and dim != pi.dim:
         raise ValueError("dim field disagrees with path array")
     return pi
 
 
 def pm_to_csv(pi: PathMeasure, f: TextIO) -> None:
     """Long format: one row per (path, time), columns path_id, t, x_1..x_d."""
-    writer = csv.writer(f, lineterminator="\r\n")
-    writer.writerow(["path_id", "t"] + [f"x_{i + 1}" for i in range(pi.dim)])
-    times = pi.times()
-    for j in range(pi.n_paths):
-        for k, t in enumerate(times):
-            writer.writerow(
-                [j, repr(float(t))]
-                + [repr(float(v)) for v in pi.paths[j, k]]
-            )
+    header = ["path_id", "t"] + [f"x_{i + 1}" for i in range(pi.dim)]
+    times = pi.times().tolist()
+    write_table(f, header, chain.from_iterable(
+        zip(repeat(j), times, *x.T.tolist()) for j, x in enumerate(pi.paths)
+    ))
 
 
 def pm_from_csv(f: TextIO, weights=None) -> PathMeasure:
     """Read the long CSV format back (weights default to uniform)."""
-    reader = csv.reader(f)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV") from None
-    if header[:2] != ["path_id", "t"]:
+    header, arr = read_table(f)
+    if header[:2] != ["path_id", "t"] or len(header) < 3:
         raise ValueError("expected columns path_id, t, x_1..")
-    by_path: dict = {}
-    for line in reader:
-        if not line:
-            continue
-        try:
-            j = int(line[0])
-            t = float(line[1])
-            xs = [float(v) for v in line[2:]]
-        except ValueError as exc:
-            raise ValueError(f"malformed CSV row {line!r}") from exc
-        by_path.setdefault(j, []).append((t, xs))
-    if not by_path:
-        raise ValueError("CSV contains no rows")
-    ids = sorted(by_path)
-    if ids != list(range(len(ids))):
-        raise ValueError("path_id values must be 0..N-1")
-    arrs = []
-    for j in ids:
-        rows = sorted(by_path[j])
-        arrs.append([xs for _, xs in rows])
-    paths = np.asarray(arrs, dtype=float)
-    n = paths.shape[1] - 1
-    depth = n.bit_length() - 1
-    if n <= 0 or 2 ** depth != n:
-        raise ValueError("each path must hold 2^M + 1 grid rows")
+    ids, counts = np.unique(arr[:, 0], return_counts=True)
+    if not np.array_equal(ids, np.arange(ids.size)):
+        raise ValueError("path_id values must be the integers 0..N-1")
+    if np.any(counts != counts[0]):
+        raise ValueError("every path_id must have the same number of rows")
+    order = np.lexsort((arr[:, 1], arr[:, 0]))
+    rows = arr[order].reshape(ids.size, -1, len(header))
     if weights is None:
-        weights = np.full(len(ids), 1.0 / len(ids))
-    return PathMeasure(depth=depth, paths=paths, weights=weights)
+        weights = np.full(ids.size, 1.0 / ids.size)
+    return PathMeasure(grid_depth(rows[:, :, 1], 1.0), rows[:, :, 2:], weights)

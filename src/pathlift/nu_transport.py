@@ -12,14 +12,13 @@ problems is out of scope); the label fingerprint only enforces that two
 ensembles actually share their base sample.
 """
 
-import csv
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
 
+from ._codec import json_fields, read_table, write_table
 from .quantile_transport import QuantileMeasure, midpoint_grid
 
 __all__ = [
@@ -140,51 +139,24 @@ def ensemble_to_json(e: ParticleEnsemble) -> dict:
 
 
 def ensemble_from_json(obj) -> ParticleEnsemble:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    try:
-        labels = np.asarray(obj["labels"], dtype=float)
-        positions = np.asarray(obj["positions"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed ensemble object: {exc}") from exc
+    dim, labels, positions = json_fields(
+        obj, "ensemble", dim=(int, None), labels=list, positions=list
+    )
     e = ParticleEnsemble(labels=labels, positions=positions)
-    if "dim" in obj and int(obj["dim"]) != e.dim:
+    if dim is not None and dim != e.dim:
         raise ValueError("dim field disagrees with point arrays")
     return e
 
 
 def ensemble_to_csv(e: ParticleEnsemble, f: TextIO) -> None:
     """One row per particle: y_1..y_d, x_1..x_d (labels then positions)."""
-    writer = csv.writer(f, lineterminator="\r\n")
-    writer.writerow(
-        [f"y_{i + 1}" for i in range(e.dim)]
-        + [f"x_{i + 1}" for i in range(e.dim)]
-    )
-    for lab, pos in zip(e.labels, e.positions):
-        writer.writerow([repr(float(v)) for v in lab]
-                        + [repr(float(v)) for v in pos])
+    header = [f"{c}_{i + 1}" for c in "yx" for i in range(e.dim)]
+    write_table(f, header, zip(*e.labels.T.tolist(), *e.positions.T.tolist()))
 
 
 def ensemble_from_csv(f: TextIO) -> ParticleEnsemble:
-    reader = csv.reader(f)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV") from None
+    header, arr = read_table(f)
     if len(header) % 2 != 0:
         raise ValueError("expected 2d columns (labels then positions)")
     d = len(header) // 2
-    rows = []
-    for line in reader:
-        if not line:
-            continue
-        try:
-            rows.append([float(v) for v in line])
-        except ValueError as exc:
-            raise ValueError(f"malformed CSV row {line!r}") from exc
-    if not rows:
-        raise ValueError("CSV contains no particles")
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape[1] != 2 * d:
-        raise ValueError("CSV rows disagree with header width")
     return ParticleEnsemble(labels=arr[:, :d], positions=arr[:, d:])

@@ -27,13 +27,13 @@ sorted atoms. The pairwise kernels run over row blocks of bounded size,
 so memory stays bounded at every grid size.
 """
 
-import csv
-import json
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+from ._codec import grid_depth, json_fields, read_table, write_table
 
 __all__ = [
     "DyadicPath",
@@ -492,57 +492,25 @@ def path_to_json(path: DyadicPath) -> dict:
 
 
 def path_from_json(obj) -> DyadicPath:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    try:
-        depth = obj["depth"]
-        horizon = obj.get("horizon", 1.0)
-        values = np.asarray(obj["values"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed path object: {exc}") from exc
-    if values.ndim == 2 and "dim" in obj and values.shape[1] != obj["dim"]:
+    depth, horizon, dim, values = json_fields(
+        obj, "path", depth=int, horizon=(float, 1.0), dim=(int, None),
+        values=list,
+    )
+    path = DyadicPath(depth=depth, values=values, horizon=horizon)
+    if dim is not None and dim != path.dim:
         raise ValueError("dim field disagrees with values shape")
-    return DyadicPath(depth=depth, values=values, horizon=horizon)
+    return path
 
 
 def path_to_csv(path: DyadicPath, f: TextIO) -> None:
     """Write columns t, x_1..x_d (RFC 4180, '.' decimal)."""
-    writer = csv.writer(f, lineterminator="\r\n")
-    writer.writerow(["t"] + [f"x_{i + 1}" for i in range(path.dim)])
-    for t, row in zip(path.times(), path.values):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    header = ["t"] + [f"x_{i + 1}" for i in range(path.dim)]
+    write_table(f, header, zip(path.times().tolist(), *path.values.T.tolist()))
 
 
 def path_from_csv(f: TextIO) -> DyadicPath:
-    reader = csv.reader(f)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV") from None
-    if not header or header[0].strip() != "t":
+    header, arr = read_table(f)
+    if header[0].strip() != "t":
         raise ValueError("first CSV column must be t")
-    rows = []
-    for line in reader:
-        if not line:
-            continue
-        try:
-            rows.append([float(v) for v in line])
-        except ValueError as exc:
-            raise ValueError(f"malformed CSV row {line!r}") from exc
-    if not rows:
-        raise ValueError("CSV contains no data rows")
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape[1] != len(header):
-        raise ValueError("CSV rows disagree with header width")
-    n = arr.shape[0] - 1
-    depth = n.bit_length() - 1
-    if n <= 0 or 2 ** depth != n:
-        raise ValueError("CSV must hold 2^M + 1 grid rows")
-    times = arr[:, 0]
-    horizon = times[-1]
-    if horizon <= 0:
-        raise ValueError("final time must be positive")
-    expected = np.linspace(0.0, horizon, n + 1)
-    if not np.allclose(times, expected, rtol=0, atol=1e-9 * max(1.0, horizon)):
-        raise ValueError("times must form a uniform dyadic grid from 0")
-    return DyadicPath(depth=depth, values=arr[:, 1:], horizon=horizon)
+    horizon = arr[-1, 0]
+    return DyadicPath(grid_depth(arr[:, 0], horizon), arr[:, 1:], horizon)

@@ -13,12 +13,12 @@ by integrating the quantile difference over the merged CDF breakpoints;
 it backs the marginal checks for path measures with nonuniform weights.
 """
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
+
+from ._codec import json_fields, read_table, write_table
 
 __all__ = [
     "QuantileMeasure",
@@ -228,33 +228,16 @@ def qm_to_json(m: QuantileMeasure) -> dict:
 
 
 def qm_from_json(obj) -> QuantileMeasure:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    try:
-        quantiles = np.asarray(obj["quantiles"], dtype=float)
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed quantile measure object: {exc}") from exc
+    n, quantiles = json_fields(obj, "quantile measure", n=int, quantiles=list)
     if quantiles.size != n:
         raise ValueError("n field disagrees with quantile count")
     return QuantileMeasure(quantiles)
 
 
 def qm_to_csv(m: QuantileMeasure, f: TextIO) -> None:
-    writer = csv.writer(f, lineterminator="\r\n")
-    for q in m.quantiles:
-        writer.writerow([repr(float(q))])
+    write_table(f, None, zip(m.quantiles.tolist()))
 
 
 def qm_from_csv(f: TextIO) -> QuantileMeasure:
-    vals = []
-    for line in csv.reader(f):
-        if not line:
-            continue
-        try:
-            vals.append(float(line[0]))
-        except ValueError as exc:
-            raise ValueError(f"malformed CSV value {line[0]!r}") from exc
-    if not vals:
-        raise ValueError("CSV contains no values")
-    return QuantileMeasure(np.asarray(vals))
+    _, arr = read_table(f, width=1)
+    return QuantileMeasure(arr[:, 0])

@@ -209,6 +209,23 @@ def test_lift_she_fixture(tmp_path, capsys):
     assert abs(obj["gap"]) < 1e-9
 
 
+def test_lift_she_builds_each_depth_once(tmp_path, capsys, monkeypatch):
+    builds = Counter()
+    build = cli.stochastic_heat_scenario
+
+    def counted(seed, depth, *args, **kwargs):
+        builds[depth] += 1
+        return build(seed, depth, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "stochastic_heat_scenario", counted)
+    cfg = write_config(tmp_path, {
+        "fixture": "she", "depth": 5, "n_atoms": 8, "alpha": 0.3, "p": 4.0,
+        "dump_paths": True,
+    })
+    assert main(["lift", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert builds == Counter(range(6))
+
+
 def test_lift_unknown_fixture(tmp_path, capsys):
     cfg = write_config(tmp_path, {"fixture": "wave"})
     assert main(["lift", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
