@@ -13,206 +13,28 @@ stochastic-heat examples with closed-form marginals
 machinery from JSON configs.
 """
 
+from . import lift_builder, mc_estimator, nu_transport, path_norms, processes
+from . import quantile_transport
 from .errors import DivergenceError, MathPreconditionError, ParabolicityError
-from .lift_builder import (
-    MeasurePathSample,
-    OptimalityGap,
-    PathMeasure,
-    RefineTrackRow,
-    TightnessReport,
-    bound_factor,
-    build_dyadic_lift,
-    build_shuffled_lift,
-    lift_energy,
-    marginal,
-    marginal_cloud,
-    marginal_curve_energy,
-    marginal_wasserstein,
-    pairwise_optimality_gap,
-    pm_from_csv,
-    pm_from_json,
-    pm_to_csv,
-    pm_to_json,
-    refine_and_track,
-    tightness_diagnostic,
-)
-from .mc_estimator import (
-    EnergyEstimate,
-    LiftComparison,
-    McConfig,
-    average_lift,
-    compare_lifts,
-    curve_besov_energy,
-    curve_energy,
-    estimate_to_json,
-    expected_lift_energy,
-    expected_wp,
-    process_besov_energy,
-    scenario_seeds,
-)
-from .nu_transport import (
-    ParticleEnsemble,
-    ensemble_from_csv,
-    ensemble_from_json,
-    ensemble_to_csv,
-    ensemble_to_json,
-    from_quantile_measure,
-    generalized_geodesic,
-    w_p_nu,
-)
-from .path_norms import (
-    DyadicPath,
-    EmbeddingReport,
-    NormSpec,
-    besov_seminorm,
-    embedding_report,
-    frac_sobolev_seminorm,
-    grr_constant,
-    holder_seminorm,
-    p_variation,
-    path_from_csv,
-    path_from_json,
-    path_to_csv,
-    path_to_json,
-)
-from .processes import (
-    BrownianPath,
-    HolderWindow,
-    ParabolicityCheck,
-    ScenarioSample,
-    SdeCoefficients,
-    brownian_bundle,
-    coefficient_preset,
-    euler_maruyama,
-    gaussian_quantile,
-    heat_flow_marginal,
-    heat_flow_path,
-    independent_particle_paths,
-    parabolicity_and_alpha,
-    preset_names,
-    quantile_particle_paths,
-    scenario_to_json,
-    sfpe_holder_exponent,
-    sfpe_p_energy,
-    stochastic_heat_scenario,
-)
-from .quantile_transport import (
-    MonotoneCoupling,
-    QuantileMeasure,
-    cdf_eval,
-    from_samples,
-    generalized_inverse_eval,
-    midpoint_grid,
-    monotone_coupling,
-    monotone_multicoupling,
-    qm_from_csv,
-    qm_from_json,
-    qm_to_csv,
-    qm_to_json,
-    regrid,
-    wasserstein_p,
-    wasserstein_p_clouds,
-)
+from .lift_builder import *
+from .mc_estimator import *
+from .nu_transport import *
+from .path_norms import *
+from .processes import *
+from .quantile_transport import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of its public names
 __all__ = [
     "__version__",
-    # errors
     "MathPreconditionError",
     "ParabolicityError",
     "DivergenceError",
-    # path norms
-    "DyadicPath",
-    "NormSpec",
-    "EmbeddingReport",
-    "holder_seminorm",
-    "p_variation",
-    "besov_seminorm",
-    "frac_sobolev_seminorm",
-    "grr_constant",
-    "embedding_report",
-    "path_to_json",
-    "path_from_json",
-    "path_to_csv",
-    "path_from_csv",
-    # quantile transport
-    "QuantileMeasure",
-    "MonotoneCoupling",
-    "cdf_eval",
-    "from_samples",
-    "generalized_inverse_eval",
-    "midpoint_grid",
-    "monotone_coupling",
-    "monotone_multicoupling",
-    "wasserstein_p",
-    "wasserstein_p_clouds",
-    "regrid",
-    "qm_to_json",
-    "qm_from_json",
-    "qm_to_csv",
-    "qm_from_csv",
-    # nu transport
-    "ParticleEnsemble",
-    "w_p_nu",
-    "generalized_geodesic",
-    "from_quantile_measure",
-    "ensemble_to_json",
-    "ensemble_from_json",
-    "ensemble_to_csv",
-    "ensemble_from_csv",
-    # lift builder
-    "PathMeasure",
-    "MeasurePathSample",
-    "OptimalityGap",
-    "RefineTrackRow",
-    "TightnessReport",
-    "build_dyadic_lift",
-    "build_shuffled_lift",
-    "lift_energy",
-    "marginal",
-    "marginal_cloud",
-    "marginal_wasserstein",
-    "marginal_curve_energy",
-    "pairwise_optimality_gap",
-    "refine_and_track",
-    "tightness_diagnostic",
-    "bound_factor",
-    "pm_to_json",
-    "pm_from_json",
-    "pm_to_csv",
-    "pm_from_csv",
-    # processes
-    "BrownianPath",
-    "SdeCoefficients",
-    "ScenarioSample",
-    "ParabolicityCheck",
-    "HolderWindow",
-    "gaussian_quantile",
-    "heat_flow_marginal",
-    "heat_flow_path",
-    "stochastic_heat_scenario",
-    "brownian_bundle",
-    "independent_particle_paths",
-    "quantile_particle_paths",
-    "euler_maruyama",
-    "parabolicity_and_alpha",
-    "sfpe_p_energy",
-    "sfpe_holder_exponent",
-    "coefficient_preset",
-    "preset_names",
-    "scenario_to_json",
-    # estimators
-    "McConfig",
-    "EnergyEstimate",
-    "LiftComparison",
-    "scenario_seeds",
-    "expected_wp",
-    "process_besov_energy",
-    "expected_lift_energy",
-    "curve_energy",
-    "curve_besov_energy",
-    "compare_lifts",
-    "average_lift",
-    "estimate_to_json",
+    *path_norms.__all__,
+    *quantile_transport.__all__,
+    *nu_transport.__all__,
+    *lift_builder.__all__,
+    *processes.__all__,
+    *mc_estimator.__all__,
 ]

@@ -10,11 +10,12 @@ import csv
 import itertools
 import json
 from collections.abc import Mapping
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
 _REQUIRED = object()
+_ROW_BLOCK = 4096  # rows that ``array_rows`` turns into Python floats at once
 
 
 def write_table(f: TextIO, header, rows: Iterable) -> None:
@@ -23,6 +24,16 @@ def write_table(f: TextIO, header, rows: Iterable) -> None:
     if header is not None:
         writer.writerow(header)
     writer.writerows(rows)
+
+
+def array_rows(*arrays: np.ndarray) -> Iterator[list]:
+    """The rows of 2d arrays side by side, as lists of Python floats.
+
+    A block of _ROW_BLOCK rows is converted at a time, so a table writer
+    holds one block of rows as Python objects, not every column.
+    """
+    for k in range(0, len(arrays[0]), _ROW_BLOCK):
+        yield from np.hstack([a[k : k + _ROW_BLOCK] for a in arrays]).tolist()
 
 
 def read_table(f: TextIO, width: Optional[int] = None):

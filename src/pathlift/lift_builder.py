@@ -11,9 +11,11 @@ optimal coupling, and the coupling is nested across all coarser dyadic
 levels.
 
 Energies use the one set of kernels in ``path_norms``, which serves paths,
-lifts and curves: a lift pays the path energy path by path, and a curve
-energy is the same kernel applied to the sorted atoms of the slices, with
-W_p^p in place of |X_v - X_u|^p. The lift energy never undercuts it.
+lifts and curves, through one kind dispatch (``_energy``). A lift's paths
+are its atoms: the kernels reduce each path on its own and weight last, so
+the lift energy is sum_j w_j E(path_j) with no loop over paths. A curve is
+one atom of weight 1 whose pair cost is W_p^p between slices, in place of
+|X_v - X_u|^p. The lift energy never undercuts the curve energy.
 """
 
 from dataclasses import dataclass
@@ -34,6 +36,7 @@ from .path_norms import (
     _level_costs,
     _PairCost,
     _pvar_dp,
+    _sobolev_sum,
 )
 from .quantile_transport import (
     _WEIGHT_TOL,
@@ -80,8 +83,8 @@ class PathMeasure:
         arr = np.asarray(self.paths, dtype=float)
         if arr.ndim == 2:
             arr = arr[:, :, None]
-        if arr.ndim != 3 or arr.shape[0] == 0:
-            raise ValueError("paths must be a nonempty (N, K, d) array")
+        if arr.ndim != 3 or arr.shape[0] == 0 or arr.shape[2] == 0:
+            raise ValueError("paths must be a nonempty (N, K, d) array, d >= 1")
         if arr.shape[1] != 2 ** self.depth + 1:
             raise ValueError(
                 f"paths have {arr.shape[1]} grid points, expected "
@@ -281,62 +284,78 @@ def _sorted_slices(mp: MeasurePathSample) -> np.ndarray:
     return np.sort(mp.atoms, axis=1, kind="stable")
 
 
-def _slices_cost(slices: np.ndarray, p: float) -> _PairCost:
-    """W_p^p between 1-d slices held as sorted equal-weight atoms (K, N, 1)."""
-    if slices.shape[2] != 1:
-        raise ValueError("exact W_p needs one-dimensional marginals")
-    n = slices.shape[1]
-    return _PairCost(slices, np.full(n, 1.0 / n), p)
-
-
 def _lift_cost(pi: PathMeasure, p: float) -> _PairCost:
-    """w . |X_j - X_i|^p between the grid times of a lift's paths."""
+    """|X_j - X_i|^p per path between the grid times of a lift's paths."""
     return _PairCost(pi.paths.transpose(1, 0, 2), pi.weights, p)
 
 
-class _CloudCost(_PairCost):
+class _CurveCost(_PairCost):
+    """W_p^p between the 1-d slices of a curve, one column of weight 1.
+
+    slices (K, N, 1) holds equal-weight atoms sorted within each site, so
+    W_p^p is the mean of |X_j - X_i|^p over matched atoms.
+    """
+
+    def __init__(self, slices: np.ndarray, p: float):
+        if slices.shape[2] != 1:
+            raise ValueError("exact W_p needs one-dimensional marginals")
+        super().__init__(slices, np.ones(1), p)
+        self.atom_weights = np.full(slices.shape[1], 1.0 / slices.shape[1])
+
+    def __call__(self, i, j) -> np.ndarray:
+        return (super().__call__(i, j) @ self.atom_weights)[..., None]
+
+
+class _CloudCost(_CurveCost):
     """Exact W_p^p between weighted time marginals in d = 1, any weights.
 
     Only cells with j > i are computed (one ``wasserstein_p_clouds`` call
     each); the others are left at zero, which no kernel reads.
     """
 
+    def __init__(self, atoms: np.ndarray, weights: np.ndarray, p: float):
+        super().__init__(atoms, p)
+        self.atom_weights = weights
+
     def __call__(self, i, j) -> np.ndarray:
         sites = np.arange(self.k)
         ii, jj = np.broadcast_arrays(sites[i], sites[j])
-        out = np.zeros(ii.shape)
+        out = np.zeros(ii.shape + (1,))
         for pos in zip(*np.nonzero(jj > ii)):
             out[pos] = wasserstein_p_clouds(
-                self.atoms[ii[pos], :, 0], self.weights,
-                self.atoms[jj[pos], :, 0], self.weights, self.p,
+                self.atoms[ii[pos], :, 0], self.atom_weights,
+                self.atoms[jj[pos], :, 0], self.atom_weights, self.p,
             ) ** self.p
         return out
 
 
-def _curve_energy(cost: _PairCost, spec: NormSpec) -> float:
-    """Energy of a measure curve on [0, 1] from the W_p^p between slices.
+def _energy(cost: _PairCost, spec: NormSpec) -> float:
+    """Energy on [0, 1] of a lift's paths or of a curve, from its pair cost.
 
-    * besov:  sum_m 2^{m(alpha p - 1)} sum_k W_p^p(mu_{t_k}, mu_{t_{k+1}})
-    * holder: sup_{u<v} W_p^p(mu_u, mu_v) / (v-u)^{gamma p}
-    * pvar:   sup over dissections of sum W_p^p along the dissection
+    * besov:  sum_m 2^{m(alpha p - 1)} sum_k cost(t_k^{(m)}, t_{k+1}^{(m)})
+    * holder: sup_{u<v} cost(u, v) / (v-u)^{gamma p}
+    * pvar:   sup over dissections of the sum of cost along the dissection
+    * frac_sobolev (lifts only): the W^{alpha,p} energy by midpoint
+      quadrature on the grid cells, as in ``frac_sobolev_seminorm``
+
+    Each path's energy is taken on its own and weighted last, so a lift
+    pays sum_j w_j seminorm(path_j)^p; a curve pays its W_p energy.
     """
+    h = 1.0 / (cost.k - 1)
     if spec.kind == "besov":
         return _besov_energy(cost, spec.alpha, spec.p)
     if spec.kind == "holder":
-        return _holder_max(cost, 1.0 / (cost.k - 1), (spec.gamma * spec.p,))[0]
+        return _holder_max(cost, h, (spec.gamma * spec.p,))[0]
     if spec.kind == "pvar":
         return _pvar_dp(cost)
-    raise ValueError("curve energy supports besov, holder and pvar kinds")
+    if isinstance(cost, _CurveCost):
+        raise ValueError("curve energy supports besov, holder and pvar kinds")
+    return _sobolev_sum(cost, h, spec.alpha)
 
 
 def lift_energy(pi: PathMeasure, spec: NormSpec) -> float:
     """Energy sum_j w_j * seminorm(path_j)^p of the lift."""
-    if spec.kind == "besov":
-        return _besov_energy(_lift_cost(pi, spec.p), spec.alpha, spec.p)
-    total = 0.0
-    for j in range(pi.n_paths):
-        total += pi.weights[j] * spec.seminorm(pi.path(j)) ** spec.p
-    return float(total)
+    return _energy(_lift_cost(pi, spec.p), spec)
 
 
 def marginal_cloud(pi: PathMeasure, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +409,8 @@ def pairwise_optimality_gap(
     if pi.dim != 1:
         raise ValueError("optimality gap is only computed for d = 1")
     ks, kt = _grid_index(s, pi.depth), _grid_index(t, pi.depth)
-    coupling_cost = float(_lift_cost(pi, p)(ks, kt))
+    cost = _lift_cost(pi, p)
+    coupling_cost = float(cost(ks, kt) @ cost.weights)
     wp_cost = marginal_wasserstein(pi, s, t, p) ** p
     return OptimalityGap(
         coupling_cost=coupling_cost,
@@ -403,19 +423,18 @@ def marginal_curve_energy(pi: PathMeasure, spec: NormSpec) -> float:
     """Regularity energy of the induced marginal curve t -> mu_t (d = 1).
 
     The curve metric is W_p between grid-time marginals, exact for
-    weighted atoms; the energy is the curve kernel of ``_curve_energy``
-    applied to the column-sorted paths (uniform weights) or to the exact
-    weighted W_p^p costs. Each energy is dominated by the corresponding
-    lift energy.
+    weighted atoms; the energy is the kernel of ``_energy`` run on the
+    column-sorted paths (uniform weights) or on the exact weighted W_p^p
+    costs. Each energy is dominated by the corresponding lift energy.
     """
     if pi.dim != 1:
         raise ValueError("marginal curve energy is only computed for d = 1")
     if pi.uniform_weights():
         slices = np.sort(pi.paths, axis=0).transpose(1, 0, 2)
-        cost = _slices_cost(np.ascontiguousarray(slices), spec.p)
+        cost = _CurveCost(np.ascontiguousarray(slices), spec.p)
     else:
         cost = _CloudCost(pi.paths.transpose(1, 0, 2), pi.weights, spec.p)
-    return _curve_energy(cost, spec)
+    return _energy(cost, spec)
 
 
 def bound_factor(alpha: float, p: float) -> float:

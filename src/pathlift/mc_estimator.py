@@ -25,9 +25,9 @@ from . import _rng
 from .lift_builder import (
     MeasurePathSample,
     PathMeasure,
-    _curve_energy,
+    _CurveCost,
+    _energy,
     _lift_cost,
-    _slices_cost,
     _sorted_slices,
     lift_energy,
     marginal_cloud,
@@ -119,7 +119,7 @@ def curve_besov_energy(mp: MeasurePathSample, alpha: float, p: float) -> float:
 
 def curve_energy(mp: MeasurePathSample, spec: NormSpec) -> float:
     """W_p energy (besov/holder/pvar) of a curve from its sorted slice atoms."""
-    return _curve_energy(_slices_cost(_sorted_slices(mp), spec.p), spec)
+    return _energy(_CurveCost(_sorted_slices(mp), spec.p), spec)
 
 
 def process_besov_energy(
@@ -296,11 +296,12 @@ def _pooled_consistency(pooled: PathMeasure, lifts, p: float):
             raise ValueError(
                 f"pooled marginal at t={t} is not the scenario mixture"
             )
+    pair = _lift_cost(pooled, p)
     for s, t in zip(times[:-1], times[1:]):
         dist = wasserstein_p_clouds(*margs[s], *margs[t], p) ** p
         ks = round(s * 2 ** pooled.depth)
         kt = round(t * 2 ** pooled.depth)
-        cost = float(_lift_cost(pooled, p)(ks, kt))
+        cost = float(pair(ks, kt) @ pair.weights)
         if dist > cost + 1e-10 * max(1.0, cost):
             raise ValueError(
                 f"pooled marginals at ({s}, {t}) violate the coupling bound"

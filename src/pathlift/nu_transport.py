@@ -18,7 +18,8 @@ from typing import TextIO
 
 import numpy as np
 
-from ._codec import json_fields, read_table, write_table
+from ._codec import array_rows, json_fields, read_table, write_table
+from .path_norms import _pow_dist
 from .quantile_transport import QuantileMeasure, midpoint_grid
 
 __all__ = [
@@ -100,9 +101,8 @@ def w_p_nu(a: ParticleEnsemble, b: ParticleEnsemble, p: float) -> float:
     if not p > 1:
         raise ValueError("p must be > 1")
     _check_shared_labels(a, b)
-    diff = a.positions - b.positions
-    dist = np.sqrt(np.einsum("id,id->i", diff, diff))
-    return float(np.mean(dist ** p) ** (1.0 / p))
+    dist = _pow_dist(a.positions - b.positions, p)
+    return float(np.mean(dist) ** (1.0 / p))
 
 
 def generalized_geodesic(
@@ -151,7 +151,7 @@ def ensemble_from_json(obj) -> ParticleEnsemble:
 def ensemble_to_csv(e: ParticleEnsemble, f: TextIO) -> None:
     """One row per particle: y_1..y_d, x_1..x_d (labels then positions)."""
     header = [f"{c}_{i + 1}" for c in "yx" for i in range(e.dim)]
-    write_table(f, header, zip(*e.labels.T.tolist(), *e.positions.T.tolist()))
+    write_table(f, header, array_rows(e.labels, e.positions))
 
 
 def ensemble_from_csv(f: TextIO) -> ParticleEnsemble:

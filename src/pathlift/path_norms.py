@@ -18,13 +18,16 @@ exposed through ``grr_constant`` and ``embedding_report``.
 The module is also the one home of the energy kernels, which serve paths,
 lifts and measure curves alike: the dyadic level walk, the Holder maximum,
 the Sobolev pair sum and the p-variation dynamic program. Each reads a
-pair cost between the K grid sites, cost(i, j) = sum_n w_n |X_{j,n} -
-X_{i,n}|^p over N weighted atoms per site. A path is one atom of weight 1
-and a lift is its paths with their weights. A 1-d measure curve is its
-sorted slice atoms with weights 1/N, for which cost(i, j) is exactly W_p^p
-between slices i and j, so a curve energy is the kernel applied to the
-sorted atoms. The pairwise kernels run over row blocks of bounded size,
-so memory stays bounded at every grid size.
+pair cost between the K grid sites, |X_{j,n} - X_{i,n}|^p for each of N
+weighted atoms per site, reduces every atom on its own and applies the
+weights last: the energy is sum_n w_n E(atom n). Only the level walk,
+which is linear, contracts each level with the weights as it goes. A path
+is one atom of weight 1 and a lift is its paths with their weights, so a
+lift energy is the weighted sum of its path energies. A measure curve is
+one atom of weight 1 whose pair cost is W_p^p between slices i and j, so
+a curve energy is the same kernel run on that cost. The pairwise kernels
+run over row blocks of bounded size, so memory stays bounded at every
+grid size.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +36,8 @@ from typing import Optional, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._codec import grid_depth, json_fields, read_table, write_table
+from ._codec import array_rows, grid_depth, json_fields
+from ._codec import read_table, write_table
 
 __all__ = [
     "DyadicPath",
@@ -76,8 +80,8 @@ class DyadicPath:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
-        if vals.ndim != 2:
-            raise ValueError("values must be a 1d or 2d array")
+        if vals.ndim != 2 or vals.shape[1] == 0:
+            raise ValueError("values must be a 1d or a (K, d >= 1) array")
         if self.depth < 0 or int(self.depth) != self.depth:
             raise ValueError("depth must be a nonnegative integer")
         if vals.shape[0] != 2 ** self.depth + 1:
@@ -170,20 +174,26 @@ _BLOCK_CELLS = 2 ** 15
 
 
 def _pow_dist(diff: np.ndarray, p: float) -> np.ndarray:
-    """|diff|^p, the Euclidean norm taken over the last (space) axis."""
+    """|diff|^p, the Euclidean norm taken over the last (space) axis.
+
+    diff is a temporary of the caller's: in d = 1 it is overwritten, so a
+    cost block allocates no second full-size array.
+    """
     if diff.shape[-1] == 1:
         # |x| equals sqrt(x * x) bit for bit and skips the slow reduction
-        dist = np.abs(diff[..., 0])
+        dist = np.abs(diff, out=diff)[..., 0]
     else:
         dist = np.sqrt(np.einsum("...d,...d->...", diff, diff))
     return np.power(dist, p, out=dist)
 
 
 class _PairCost:
-    """cost(i, j) = sum_n w_n |X_{j,n} - X_{i,n}|^p between grid sites.
+    """cost(i, j) = |X_{j,n} - X_{i,n}|^p between grid sites, per atom n.
 
-    atoms has shape (K, N, d), the N atoms of each of K sites, and weights
-    shape (N,). i and j are site indices, index arrays or slices.
+    atoms has shape (K, N, d), the N atoms of each of K sites. i and j are
+    site indices, index arrays or slices; the result keeps the atom axis
+    last. weights holds one weight per column of the result, which the
+    kernels apply after reducing each column on its own.
     """
 
     def __init__(self, atoms: np.ndarray, weights: np.ndarray, p: float):
@@ -191,10 +201,7 @@ class _PairCost:
         self.k = atoms.shape[0]
 
     def __call__(self, i, j) -> np.ndarray:
-        pw = _pow_dist(self.atoms[j] - self.atoms[i], self.p)
-        if pw.shape[-1] == 1:  # matmul is slow on a length-1 axis
-            return pw[..., 0] * self.weights[0]
-        return pw @ self.weights
+        return _pow_dist(self.atoms[j] - self.atoms[i], self.p)
 
 
 def _path_cost(values: np.ndarray, p: float) -> _PairCost:
@@ -203,11 +210,11 @@ def _path_cost(values: np.ndarray, p: float) -> _PairCost:
 
 
 def _level_costs(cost):
-    """For m = 0..M, the costs of the 2^m intervals of the level-m grid."""
+    """For m = 0..M, the weighted costs of the 2^m level-m intervals."""
     depth = (cost.k - 1).bit_length() - 1
     for m in range(depth + 1):
         s = 2 ** (depth - m)
-        yield cost(slice(0, -1, s), slice(s, None, s))
+        yield cost(slice(0, -1, s), slice(s, None, s)) @ cost.weights
 
 
 def _besov_energy(cost, alpha: float, p: float) -> float:
@@ -247,38 +254,48 @@ def _gap_weighted(cost, h: float, expos):
     ]
     for _, c in _cost_blocks(cost):
         yield [
-            c * as_strided(t[k - 1 :], c.shape, (-t.itemsize, t.itemsize))
+            c * as_strided(t[k - 1 :], c.shape, (-t.itemsize, t.itemsize, 0))
             for t in tables
         ]
 
 
 def _holder_max(cost, h: float, expos) -> list:
-    """max_{i<j} cost(i, j) / (h (j - i))^expo, one maximum per exponent."""
-    best = [0.0] * len(expos)
+    """w . max_{i<j} cost(i, j) / (h (j - i))^expo, one per exponent."""
+    best = [np.zeros(cost.weights.size)] * len(expos)
     for block in _gap_weighted(cost, h, expos):
-        best = [max(b, float(np.max(q))) for b, q in zip(best, block)]
-    return best
+        best = [np.maximum(b, q.max(axis=(0, 1)))
+                for b, q in zip(best, block)]
+    return [float(cost.weights @ b) for b in best]
 
 
-def _sobolev_sum(cost, h: float, expo: float) -> float:
-    """h^2 sum_{i != j} cost(i, j) / (h |j - i|)^expo, by symmetry."""
-    total = sum(float(np.sum(q)) for (q,) in _gap_weighted(cost, h, (expo,)))
-    return 2.0 * total * h * h
+def _sobolev_sum(cost, h: float, alpha: float) -> float:
+    """Midpoint-rule W^{alpha,p} energy of a cost on a grid of spacing h.
+
+    h^2 sum_{i != j} w . cost(m_i, m_j) / (h |j - i|)^{1 + alpha p} over
+    the cell midpoints m_i, by symmetry.
+    """
+    mids = _PairCost(0.5 * (cost.atoms[:-1] + cost.atoms[1:]), cost.weights,
+                     cost.p)
+    total = np.zeros(cost.weights.size)
+    for (q,) in _gap_weighted(mids, h, (1.0 + alpha * cost.p,)):
+        total += q.sum(axis=(0, 1))
+    return 2.0 * float(cost.weights @ total) * h * h
 
 
 def _pvar_dp(cost) -> float:
-    """Largest sum of cost over the consecutive points of a dissection.
+    """w . the largest sum of cost along the points of a dissection.
 
-    Exact O(K^2) dynamic program: best[j] is the largest sum over
-    dissections of sites 0..j that end at j. Rows come in order, so
-    best[i] is final when row i pushes best[i] + cost(i, j) to every j > i.
+    Exact O(K^2) dynamic program, each column on its own: best[j] is the
+    largest sum over dissections of sites 0..j that end at j. Rows come in
+    order, so best[i] is final when row i pushes best[i] + cost(i, j) to
+    every j > i.
     """
-    best = np.zeros(cost.k)
+    best = np.zeros((cost.k, cost.weights.size))
     for i0, c in _cost_blocks(cost):
         for r in range(c.shape[0]):
             tail = best[i0 + r + 1 :]
             np.maximum(tail, best[i0 + r] + c[r, r + 1 :], out=tail)
-    return float(best[-1])
+    return float(cost.weights @ best[-1])
 
 
 def _grid_index(t: float, depth: int, horizon: float = 1.0) -> int:
@@ -346,8 +363,7 @@ def besov_seminorm(path: DyadicPath, alpha: float, p: float) -> float:
 def _fs_energy(path: DyadicPath, alpha: float, p: float) -> float:
     """W^{alpha,p} energy (seminorm to the p) by midpoint quadrature."""
     h = path.horizon / (path.n_points - 1)
-    mid_vals = 0.5 * (path.values[:-1] + path.values[1:])
-    return _sobolev_sum(_path_cost(mid_vals, p), h, 1.0 + alpha * p)
+    return _sobolev_sum(_path_cost(path.values, p), h, alpha)
 
 
 def frac_sobolev_seminorm(path: DyadicPath, alpha: float, p: float) -> float:
@@ -505,7 +521,7 @@ def path_from_json(obj) -> DyadicPath:
 def path_to_csv(path: DyadicPath, f: TextIO) -> None:
     """Write columns t, x_1..x_d (RFC 4180, '.' decimal)."""
     header = ["t"] + [f"x_{i + 1}" for i in range(path.dim)]
-    write_table(f, header, zip(path.times().tolist(), *path.values.T.tolist()))
+    write_table(f, header, array_rows(path.times()[:, None], path.values))
 
 
 def path_from_csv(f: TextIO) -> DyadicPath:

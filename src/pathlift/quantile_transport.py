@@ -18,7 +18,8 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from ._codec import json_fields, read_table, write_table
+from ._codec import array_rows, json_fields, read_table, write_table
+from .path_norms import _pow_dist
 
 __all__ = [
     "QuantileMeasure",
@@ -118,9 +119,8 @@ def wasserstein_p(mu: QuantileMeasure, nu: QuantileMeasure, p: float) -> float:
             f"grid sizes differ ({mu.grid_size} vs {nu.grid_size}); "
             "regrid one measure first"
         )
-    return float(
-        np.mean(np.abs(mu.quantiles - nu.quantiles) ** p) ** (1.0 / p)
-    )
+    diff = (mu.quantiles - nu.quantiles)[:, None]
+    return float(np.mean(_pow_dist(diff, p)) ** (1.0 / p))
 
 
 def wasserstein_p_clouds(
@@ -181,8 +181,8 @@ class MonotoneCoupling:
 
     def cost(self, p: float) -> float:
         """Transport cost (1/N) sum |x_j - y_j|^p of the pairing."""
-        d = np.abs(self.pairs[:, 0] - self.pairs[:, 1])
-        return float(np.mean(d ** p))
+        diff = np.diff(self.pairs, axis=1)
+        return float(np.mean(_pow_dist(diff, p)))
 
 
 def monotone_coupling(mu: QuantileMeasure, nu: QuantileMeasure) -> MonotoneCoupling:
@@ -235,7 +235,7 @@ def qm_from_json(obj) -> QuantileMeasure:
 
 
 def qm_to_csv(m: QuantileMeasure, f: TextIO) -> None:
-    write_table(f, None, zip(m.quantiles.tolist()))
+    write_table(f, None, array_rows(m.quantiles[:, None]))
 
 
 def qm_from_csv(f: TextIO) -> QuantileMeasure:

@@ -1,9 +1,10 @@
 """Loop forms of the energy kernels, kept as references for the tests.
 
-These are the row loops, per-level walks and pair loops that the library
-once ran for each input kind (paths, lifts, curves) before they became
-one set of blocked kernels in ``pathlift.path_norms``. Each works on
-plain arrays and restates its energy one row, level or pair at a time.
+These are the row loops, per-level walks, pair loops and the per-path
+lift loop that the library once ran for each input kind (paths, lifts,
+curves) before they became one set of blocked kernels in
+``pathlift.path_norms``. Each restates its energy one row, level, pair or
+path at a time.
 """
 
 import numpy as np
@@ -127,3 +128,18 @@ def curve_energy_pairs(dmat, kind, p, alpha=None, gamma=None):
     for j in range(1, k):
         cum[j] = np.max(cum[:j] + powd[:j, j])
     return float(cum[-1])
+
+
+def lift_energy_loop(pi, spec):
+    """sum_j w_j E(path_j) of a PathMeasure, one DyadicPath at a time.
+
+    E is seminorm(path_j)^p, as the per-path loop of ``lift_energy``
+    computed it; for pvar it is the p-th power DP (``pvar_pull``) itself,
+    so that no p-th root and power blur a bit-for-bit comparison.
+    """
+    energies = [
+        pvar_pull(pi.paths[j], spec.p) if spec.kind == "pvar"
+        else spec.seminorm(pi.path(j)) ** spec.p
+        for j in range(pi.n_paths)
+    ]
+    return float(pi.weights @ np.array(energies))

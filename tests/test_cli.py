@@ -131,6 +131,18 @@ def test_norms_error_paths(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_norms_rejects_a_path_file_without_value_columns(tmp_path, capsys):
+    times_only = tmp_path / "t.csv"
+    times_only.write_text("t\r\n0\r\n0.5\r\n1\r\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {
+        "input": str(times_only),
+        "norms": [{"kind": "holder", "p": 2.0, "gamma": 0.5}],
+    })
+    assert main(["norms", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse path file" in err and "d >= 1" in err
+
+
 def test_config_must_be_json_object(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]", encoding="utf-8")

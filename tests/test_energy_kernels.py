@@ -13,6 +13,7 @@ from kernel_oracles import (
     curve_energy_pairs,
     holder_rows,
     level_walk,
+    lift_energy_loop,
     marginal_distances,
     pvar_pull,
     sobolev_rows,
@@ -122,8 +123,8 @@ def test_embedding_report_at_depth_12_matches_loops():
     assert rep.ok
 
 
-def random_measure(gen, depth, n, uniform):
-    paths = gen.standard_normal((n, 2 ** depth + 1, 1))
+def random_measure(gen, depth, n, uniform, dim=1):
+    paths = gen.standard_normal((n, 2 ** depth + 1, dim))
     if uniform:
         w = np.full(n, 1.0 / n)
     else:
@@ -172,6 +173,28 @@ def test_curve_energy_on_an_she_scenario_matches_pair_loops():
         assert marginal_curve_energy(scn.lift, spec) == pytest.approx(
             curve_energy(scn.measure_path, spec), rel=REL
         )
+
+
+LIFT_SPECS = (
+    NormSpec(kind="besov", p=3.0, alpha=0.6),
+    NormSpec(kind="holder", p=2.5, gamma=0.4),
+    NormSpec(kind="pvar", p=3.0),
+    NormSpec(kind="frac_sobolev", p=2.5, alpha=0.55),
+)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("depth", [0, 1, 3, 5])
+def test_lift_energy_matches_per_path_loop(depth, dim, uniform):
+    gen = np.random.default_rng(100 * depth + 10 * dim + uniform)
+    pi = random_measure(gen, depth, 7, uniform, dim)
+    for spec in LIFT_SPECS:
+        expected = lift_energy_loop(pi, spec)
+        if spec.kind == "pvar":  # the DP takes no root, so bit for bit
+            assert lift_energy(pi, spec) == expected
+        else:
+            assert lift_energy(pi, spec) == pytest.approx(expected, rel=REL)
 
 
 @pytest.mark.parametrize("depth,n,dim", [(0, 1, 1), (4, 6, 2), (8, 1024, 1)])

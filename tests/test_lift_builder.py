@@ -68,6 +68,11 @@ class TestPathMeasure:
             PathMeasure(depth=2, paths=np.zeros((3, 4, 1)),
                         weights=np.full(3, 1 / 3))
 
+    def test_paths_need_a_column(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            PathMeasure(depth=1, paths=np.zeros((2, 3, 0)),
+                        weights=np.array([0.5, 0.5]))
+
     def test_weights_validation(self):
         paths = np.zeros((2, 3, 1))
         with pytest.raises(ValueError, match="sum to 1"):

@@ -55,6 +55,12 @@ class TestDyadicPath:
         with pytest.raises(ValueError, match="finite"):
             DyadicPath(2, vals)
 
+    def test_values_need_a_column(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            DyadicPath(1, np.zeros((3, 0)))
+        with pytest.raises(ValueError, match="d >= 1"):
+            path_from_csv(io.StringIO("t\r\n0\r\n0.5\r\n1\r\n"))
+
     def test_horizon_positive(self):
         with pytest.raises(ValueError):
             DyadicPath(1, np.zeros(3), horizon=0.0)
