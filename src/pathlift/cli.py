@@ -23,7 +23,7 @@ from scipy.special import ndtri
 
 from . import _rng
 from ._codec import write_table
-from .errors import MathPreconditionError, ParabolicityError
+from .errors import MathPreconditionError
 from .lift_builder import (
     bound_factor,
     build_dyadic_lift,
@@ -46,12 +46,11 @@ from .processes import (
     BrownianPath,
     brownian_bundle,
     coefficient_preset,
-    euler_maruyama,
+    euler_flow,
     gaussian_quantile,
     heat_flow_marginal,
     heat_flow_path,
     independent_particle_paths,
-    parabolicity_and_alpha,
     preset_names,
     quantile_particle_paths,
     stochastic_heat_scenario,
@@ -479,58 +478,46 @@ def _cmd_sde(config, out_dir, seed, preset):
     zero_noise = bool(config.get("zero_noise", False))
     quantiles = [float(q) for q in config.get("quantiles", [0.1, 0.5, 0.9])]
     x0 = np.asarray(config.get("x0", [0.0]), dtype=float).reshape(-1)
+    if n_seeds < 1:
+        raise ConfigError("n_seeds must be at least 1")
+    if not quantiles:
+        raise ConfigError("quantiles must not be empty")
+    if form2 and x0.size != 1:
+        raise ConfigError("x0 must have one coordinate for she-form2")
 
-    # precheck at the origin: a degenerate preset must fail before any run
-    zero = np.zeros_like(x0)
-    check = parabolicity_and_alpha(
-        coeffs.diffusion_a(0.0, zero, zero),
-        coeffs.common_sigma(0.0, zero, zero),
-    )
-    if not check.ok:
-        raise ParabolicityError(0.0, zero, check.min_eigenvalue)
-
-    level = substeps.bit_length() - 1
-    path_rows = []
-    dev_rows = []
-    run_id = 0
+    if form2:
+        # each quantile run starts on its curve c(q) sqrt(t) + W_t at t0
+        level = substeps.bit_length() - 1
+        k0 = _dyadic_index(t0, level, "t0")
+        c = gaussian_quantile(quantiles)
+    path_rows, dev_rows, run_id = [], [], 0
     for i in range(n_seeds):
         sd = _rng.derive_seed(seed, i)
-        w = BrownianPath(seed=sd, depth=depth)
+        w = BrownianPath(seed=sd, depth=depth, dim=x0.size)
+        starts = x0[None, :]
         if form2:
-            wf = w.refine(level).values[:, 0]
-            k0 = _dyadic_index(t0, level, "t0")
-            for q in quantiles:
-                cq = float(gaussian_quantile(q))
-                start = cq * np.sqrt(t0) + wf[k0]
-                path = euler_maruyama(
-                    coeffs, w, _rng.derive_seed(sd, 1), [start],
-                    substeps, t0=t0,
-                )
-                times = path.times()
-                oracle = cq * np.sqrt(times) + w.values[:, 0]
+            starts = (c * np.sqrt(t0) + w.refine(level).values[k0])[:, None]
+        flow = euler_flow(
+            coeffs, w, _rng.derive_seed(sd, 1), starts, substeps,
+            t0=t0, zero_noise=zero_noise,
+        )
+        times = w.times()
+        for j, path in enumerate(flow.paths):
+            q = quantiles[j] if form2 else ""
+            if form2:
+                oracle = c[j] * np.sqrt(times) + w.values[:, 0]
                 mask = times >= t0 - 1e-12
-                dev = float(
-                    np.max(np.abs(path.values[:, 0] - oracle)[mask])
-                )
+                dev = float(np.max(np.abs(path[:, 0] - oracle)[mask]))
                 dev_rows.append([run_id, sd, q, dev])
-                for t, x in zip(times, path.values[:, 0]):
-                    path_rows.append([run_id, sd, q, float(t), float(x)])
-                run_id += 1
-        else:
-            path = euler_maruyama(
-                coeffs, w, _rng.derive_seed(sd, 1), x0, substeps,
-                t0=t0, zero_noise=zero_noise,
-            )
-            for t, row in zip(path.times(), path.values):
+            for t, row in zip(times, path):
                 path_rows.append(
-                    [run_id, sd, "", float(t)] + [float(v) for v in row]
+                    [run_id, sd, q, float(t)] + [float(v) for v in row]
                 )
             run_id += 1
 
-    dim = x0.size
     files = [_write_csv(
         out_dir, "sde_paths.csv",
-        ["run_id", "seed", "q", "t"] + [f"x_{i + 1}" for i in range(dim)],
+        ["run_id", "seed", "q", "t"] + [f"x_{i + 1}" for i in range(x0.size)],
         path_rows,
     )]
     summary = {

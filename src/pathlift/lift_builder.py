@@ -41,6 +41,8 @@ from .path_norms import (
 from .quantile_transport import (
     _WEIGHT_TOL,
     QuantileMeasure,
+    _sorted_cloud,
+    _sorted_clouds_cost,
     wasserstein_p_clouds,
 )
 
@@ -309,23 +311,23 @@ class _CurveCost(_PairCost):
 class _CloudCost(_CurveCost):
     """Exact W_p^p between weighted time marginals in d = 1, any weights.
 
-    Only cells with j > i are computed (one ``wasserstein_p_clouds`` call
-    each); the others are left at zero, which no kernel reads.
+    Each site's cloud is checked and sorted once. Only cells with j > i
+    are computed (one merge of two sorted clouds each); the others are
+    left at zero, which no kernel reads.
     """
 
     def __init__(self, atoms: np.ndarray, weights: np.ndarray, p: float):
         super().__init__(atoms, p)
-        self.atom_weights = weights
+        self.clouds = [_sorted_cloud(site[:, 0], weights) for site in atoms]
 
     def __call__(self, i, j) -> np.ndarray:
         sites = np.arange(self.k)
         ii, jj = np.broadcast_arrays(sites[i], sites[j])
         out = np.zeros(ii.shape + (1,))
         for pos in zip(*np.nonzero(jj > ii)):
-            out[pos] = wasserstein_p_clouds(
-                self.atoms[ii[pos], :, 0], self.atom_weights,
-                self.atoms[jj[pos], :, 0], self.atom_weights, self.p,
-            ) ** self.p
+            out[pos] = _sorted_clouds_cost(
+                *self.clouds[ii[pos]], *self.clouds[jj[pos]], self.p
+            )
         return out
 
 

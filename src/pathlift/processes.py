@@ -15,11 +15,17 @@ already produced at coarser levels. This is what makes refinement
 studies meaningful: level n and level n + 1 describe the same outcome.
 
 The Euler-Maruyama integrator targets dX = b dt + alpha dB + sigma dW
-with alpha = (2a - sigma sigma^T)^{1/2}; the parabolicity check that
-makes alpha well defined is enforced at every evaluation point.
+with alpha = (2a - sigma sigma^T)^{1/2}. ``euler_flow`` steps n particles
+at once, all driven by the same W and the same B increments (a
+stochastic flow), through batched coefficients: drift(t, X[n, d], w[d])
+returns (n, d), and a and sigma return one (d, d) matrix for every row
+or an (n, d, d) stack, one per row. ``euler_maruyama`` is its one-start
+case. The parabolicity check that makes alpha well defined runs whenever
+(a, sigma) change from the previous step.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -49,6 +55,7 @@ __all__ = [
     "brownian_bundle",
     "independent_particle_paths",
     "quantile_particle_paths",
+    "euler_flow",
     "euler_maruyama",
     "parabolicity_and_alpha",
     "sfpe_p_energy",
@@ -133,9 +140,11 @@ class BrownianPath:
 class SdeCoefficients:
     """Evaluable coefficient triple (b, a, sigma) of the conditional SDE.
 
-    Each callable receives (t, x, w) with x and w the current state and
-    common-noise value as shape-(d,) arrays; drift returns (d,), the
-    matrices return (d, d) (scalars are accepted in d = 1).
+    Each callable receives (t, x, w): x is the (n, d) state of n
+    particles, one per row, and w the (d,) common-noise value. drift
+    returns (n, d); diffusion_a and common_sigma return a (d, d) matrix
+    shared by every row or an (n, d, d) stack, one matrix per row. d is
+    read as x.shape[-1].
     """
 
     drift: Callable
@@ -257,46 +266,50 @@ class ParabolicityCheck:
 def parabolicity_and_alpha(a, sigma) -> ParabolicityCheck:
     """Check 2a - sigma sigma^T >= 0 and take its PSD square root.
 
-    ok iff the smallest eigenvalue is >= -1e-10; eigenvalues negative
-    within that tolerance are clamped to zero before the root.
+    a and sigma are (d, d) matrices (scalars count as 1 x 1) or stacks
+    (..., d, d) that broadcast, checked by one batched eigh; alpha and
+    min_eigenvalue then carry the stack axes. ok iff every smallest
+    eigenvalue is >= -1e-10; eigenvalues negative within that tolerance
+    are clamped to zero before the root.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != sigma.shape:
+    if a.shape[-1] != a.shape[-2] or a.shape[-2:] != sigma.shape[-2:]:
         raise ValueError("a and sigma must be square matrices of equal shape")
     scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > 1e-12 * scale:
+    if np.abs(a - np.swapaxes(a, -1, -2)).max() > 1e-12 * scale:
         raise ValueError("diffusion matrix a must be symmetric")
-    m = 2.0 * a - sigma @ sigma.T
-    evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
-    min_eig = float(evals[0])
+    m = 2.0 * a - sigma @ np.swapaxes(sigma, -1, -2)
+    evals, evecs = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
+    min_eig = evals[..., 0]
     root = np.sqrt(np.clip(evals, 0.0, None))
     return ParabolicityCheck(
-        ok=min_eig >= -1e-10,
-        alpha=(evecs * root) @ evecs.T,
-        min_eigenvalue=min_eig,
+        ok=bool(np.all(min_eig >= -1e-10)),
+        alpha=(evecs * root[..., None, :]) @ np.swapaxes(evecs, -1, -2),
+        min_eigenvalue=float(min_eig) if min_eig.ndim == 0 else min_eig,
     )
 
 
-def euler_maruyama(
+def euler_flow(
     coeffs: SdeCoefficients,
     w: BrownianPath,
     seed_b: int,
-    x0,
+    x0s,
     substeps: int,
     t0: float = 0.0,
     zero_noise: bool = False,
-) -> DyadicPath:
+) -> PathMeasure:
     """Explicit Euler-Maruyama for dX = b dt + alpha dB + sigma dW.
 
-    The common path w is bridge-refined to `substeps` intervals (a power
-    of two at least as fine as w's grid) and fresh B increments come from
-    seed_b. Integration starts at grid time t0 (values before t0 are
-    held at x0, the hook for drifts that are singular at 0); the result
-    is downsampled back to w's grid. Parabolicity of (a, sigma) is
-    verified at every evaluation point and a violation raises naming the
-    point. A path that leaves the finite floats raises DivergenceError
-    naming its first non-finite step, the time and both seeds.
+    The n rows of x0s start particles driven by the common path w, refined
+    to `substeps` (a power of two) intervals, and by one B stream from
+    seed_b: a stochastic flow, returned as an equal-weight path measure on
+    w's grid. Values before the grid time t0 are held at the start (the
+    hook for drifts singular at 0). alpha and its parabolicity check are
+    redone only when (a, sigma) change; a violation names t and the
+    state of the row that violates it most. A path that leaves the finite floats raises
+    DivergenceError naming its first non-finite step, t, both seeds and,
+    for n > 1, the row.
     """
     substeps = int(substeps)
     level = substeps.bit_length() - 1
@@ -312,44 +325,59 @@ def euler_maruyama(
         raise ValueError("t0 must be a substep grid time in [0, 1)")
     k0 = int(round(k0))
     d = w.dim
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (d,) or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be a finite vector of dimension {d}")
+    x = np.array(x0s, dtype=float)
+    if x.ndim != 2 or x.size == 0 or x.shape[1] != d or not np.isfinite(x).all():
+        raise ValueError(f"x0 must hold finite vectors of dimension {d}")
+    n = x.shape[0]
     wv = w.refine(level).values
-    if zero_noise:
-        db = np.zeros((substeps, d))
-    else:
+    dw = np.diff(wv, axis=0)
+    db = np.zeros((substeps, d))
+    if not zero_noise:
         db = _rng.stream(seed_b, "B").standard_normal((substeps, d)) * np.sqrt(h)
-    xs = np.empty((substeps + 1, d))
-    xs[: k0 + 1] = x0
-    x = x0.copy()
-    alpha_cache: dict = {}
+    xs = np.empty((substeps + 1, n, d))
+    xs[: k0 + 1] = x
+    memo = None
     for k in range(k0, substeps):
         t = k * h
-        wt = wv[k]
-        a_mat = np.atleast_2d(np.asarray(coeffs.diffusion_a(t, x, wt), float))
-        s_mat = np.atleast_2d(np.asarray(coeffs.common_sigma(t, x, wt), float))
+        a_mat = coeffs.diffusion_a(t, x, wv[k])
+        s_mat = coeffs.common_sigma(t, x, wv[k])
         key = (a_mat.tobytes(), s_mat.tobytes())
-        alpha = alpha_cache.get(key)
-        if alpha is None:
+        if key != memo:
             check = parabolicity_and_alpha(a_mat, s_mat)
+            if check.alpha.shape not in ((d, d), (n, d, d)):
+                raise ValueError(f"a, sigma must be ({d}, {d}) or ({n}, {d}, {d})")
             if not check.ok:
-                if np.all(np.isfinite(x)):
-                    raise ParabolicityError(t, x, check.min_eigenvalue)
-                break  # diverged: reported below with its first step
-            alpha = check.alpha
-            alpha_cache[key] = alpha
-        b_vec = np.broadcast_to(
-            np.asarray(coeffs.drift(t, x, wt), dtype=float), (d,)
-        )
-        x = x + b_vec * h + alpha @ db[k] + s_mat @ (wv[k + 1] - wt)
+                if not np.all(np.isfinite(x)):
+                    break  # diverged: reported below with its first step
+                min_eig = np.reshape(check.min_eigenvalue, -1)
+                row = int(np.argmin(min_eig))  # the most violated row
+                raise ParabolicityError(
+                    t, x[row], min_eig[row], row if n > 1 else None
+                )
+            alpha, memo = check.alpha, key
+        x = x + coeffs.drift(t, x, wv[k]) * h + alpha @ db[k] + s_mat @ dw[k]
         xs[k + 1] = x
-    finite = np.isfinite(xs).all(axis=1)
+    finite = np.isfinite(xs).all(axis=2)
     if not finite.all():
-        step = int(np.argmin(finite))
-        raise DivergenceError(step, step * h, w.seed, seed_b)
-    stride = substeps // 2 ** w.depth
-    return DyadicPath(w.depth, xs[::stride])
+        step = int(np.argmin(finite.all(axis=1)))
+        row = int(np.argmin(finite[step])) if n > 1 else None
+        raise DivergenceError(step, step * h, w.seed, seed_b, row)
+    paths = xs[:: substeps // 2 ** w.depth].transpose(1, 0, 2)
+    return PathMeasure(depth=w.depth, paths=paths, weights=np.full(n, 1.0 / n))
+
+
+def euler_maruyama(
+    coeffs: SdeCoefficients,
+    w: BrownianPath,
+    seed_b: int,
+    x0,
+    substeps: int,
+    t0: float = 0.0,
+    zero_noise: bool = False,
+) -> DyadicPath:
+    """The path of ``euler_flow`` from the one start x0, shape (d,)."""
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    return euler_flow(coeffs, w, seed_b, x0, substeps, t0, zero_noise).path(0)
 
 
 def sfpe_p_energy(
@@ -373,26 +401,16 @@ def sfpe_p_energy(
         raise ValueError("horizon must be positive")
     if len(mu_samples) == 0:
         raise ValueError("need at least one sampled curve")
-    b_total = 0.0
-    a_total = 0.0
+    b_total = a_total = 0.0
     for mp in mu_samples:
         times = horizon * mp.times
-        b_t = np.empty(times.size)
-        a_t = np.empty(times.size)
+        b_t, a_t = np.empty((2, times.size))
         for i, (t, xs) in enumerate(zip(times, mp.atoms)):
             n, d = xs.shape
-            bv = np.broadcast_to(
-                np.asarray(b_eval(t, xs), dtype=float), (n, d)
-            )
-            b_t[i] = np.mean(
-                np.sqrt(np.einsum("nd,nd->n", bv, bv)) ** p
-            )
-            av = np.broadcast_to(
-                np.asarray(a_eval(t, xs), dtype=float), (n, d, d)
-            )
-            a_t[i] = np.mean(
-                np.sqrt(np.einsum("nij,nij->n", av, av)) ** p
-            )
+            bv = np.broadcast_to(np.asarray(b_eval(t, xs), float), (n, d))
+            av = np.broadcast_to(np.asarray(a_eval(t, xs), float), (n, d, d))
+            b_t[i] = np.mean(np.sqrt(np.einsum("nd,nd->n", bv, bv)) ** p)
+            a_t[i] = np.mean(np.sqrt(np.einsum("nij,nij->n", av, av)) ** p)
         b_total += np.trapezoid(b_t, times)
         a_total += np.trapezoid(a_t, times)
     n_mc = len(mu_samples)
@@ -424,54 +442,41 @@ def sfpe_holder_exponent(p: float) -> HolderWindow:
     return HolderWindow(gamma=gamma, window=window)
 
 
-def _she_form1() -> SdeCoefficients:
-    return SdeCoefficients(
-        drift=lambda t, x, w: np.zeros_like(x),
-        diffusion_a=lambda t, x, w: np.eye(x.size),
-        common_sigma=lambda t, x, w: np.eye(x.size),
-        name="she-form1",
-    )
+@functools.lru_cache(maxsize=None)
+def _identity(c: float, d: int) -> np.ndarray:
+    """c I_d, built once per (c, d) and read-only, as the presets share it."""
+    m = c * np.eye(d)
+    m.setflags(write=False)
+    return m
 
 
-def _she_form2() -> SdeCoefficients:
-    def drift(t, x, w):
-        # -1/2 grad log rho_t for rho_t = N(w, t); singular at t = 0
-        if t <= 0:
-            raise ValueError("form-2 drift is singular at t = 0; start at t0 > 0")
-        return (x - w) / (2.0 * t)
-
-    return SdeCoefficients(
+def _preset(name: str, drift: Callable, a_scale: float, s_scale: float):
+    """Factory of the preset with a = a_scale I and sigma = s_scale I."""
+    return lambda: SdeCoefficients(
         drift=drift,
-        diffusion_a=lambda t, x, w: 0.5 * np.eye(x.size),
-        common_sigma=lambda t, x, w: np.eye(x.size),
-        name="she-form2",
+        diffusion_a=lambda t, x, w: _identity(a_scale, x.shape[-1]),
+        common_sigma=lambda t, x, w: _identity(s_scale, x.shape[-1]),
+        name=name,
     )
 
 
-def _heat() -> SdeCoefficients:
-    return SdeCoefficients(
-        drift=lambda t, x, w: np.zeros_like(x),
-        diffusion_a=lambda t, x, w: 0.5 * np.eye(x.size),
-        common_sigma=lambda t, x, w: np.zeros((x.size, x.size)),
-        name="heat",
-    )
+def _zero_drift(t, x, w):
+    return np.zeros_like(x)
 
 
-def _degenerate() -> SdeCoefficients:
-    # 2a - sigma sigma^T = -I: fails parabolicity on purpose
-    return SdeCoefficients(
-        drift=lambda t, x, w: np.zeros_like(x),
-        diffusion_a=lambda t, x, w: np.zeros((x.size, x.size)),
-        common_sigma=lambda t, x, w: np.eye(x.size),
-        name="degenerate",
-    )
+def _form2_drift(t, x, w):
+    # -1/2 grad log rho_t for rho_t = N(w, t); singular at t = 0
+    if t <= 0:
+        raise ValueError("form-2 drift is singular at t = 0; start at t0 > 0")
+    return (x - w) / (2.0 * t)
 
 
 _PRESETS = {
-    "she-form1": _she_form1,
-    "she-form2": _she_form2,
-    "heat": _heat,
-    "degenerate": _degenerate,
+    "she-form1": _preset("she-form1", _zero_drift, 1.0, 1.0),
+    "she-form2": _preset("she-form2", _form2_drift, 0.5, 1.0),
+    "heat": _preset("heat", _zero_drift, 0.5, 0.0),
+    # 2a - sigma sigma^T = -I: fails parabolicity on purpose
+    "degenerate": _preset("degenerate", _zero_drift, 0.0, 1.0),
 }
 
 

@@ -123,42 +123,45 @@ def wasserstein_p(mu: QuantileMeasure, nu: QuantileMeasure, p: float) -> float:
     return float(np.mean(_pow_dist(diff, p)) ** (1.0 / p))
 
 
-def wasserstein_p_clouds(
-    x, wx, y, wy, p: float
-) -> float:
-    """Exact W_p between weighted atom clouds on R.
+def _sorted_cloud(vals, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted values and cumulative weights of a weighted atom cloud on R,
+    zero-weight atoms dropped; weights are >= 0 and sum to 1 within 1e-12."""
+    v = np.asarray(vals, dtype=float).ravel()
+    w = np.asarray(weights, dtype=float).ravel()
+    if v.size != w.size or v.size == 0:
+        raise ValueError("values/weights size mismatch or empty cloud")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    if abs(w.sum() - 1.0) > _WEIGHT_TOL:
+        raise ValueError("weights must sum to 1")
+    order = np.argsort(v, kind="stable")
+    v, w = v[order], w[order]
+    keep = w > 0
+    return v[keep], np.cumsum(w[keep])
+
+
+def _sorted_clouds_cost(xv, xc, yv, yc, p: float) -> float:
+    """W_p^p between two sorted clouds (values, cumulative weights).
 
     Integrates |F_x^{-1}(u) - F_y^{-1}(u)|^p du by splitting [0,1] at the
     merged cumulative weights of both clouds; inside each segment both
-    quantile functions are constant, so the result is exact. Weights must
-    be nonnegative and sum to 1 within 1e-12.
+    quantile functions are constant, so the result is exact.
     """
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
-    parts = []
-    for vals, weights in ((x, wx), (y, wy)):
-        v = np.asarray(vals, dtype=float).ravel()
-        w = np.asarray(weights, dtype=float).ravel()
-        if v.size != w.size or v.size == 0:
-            raise ValueError("values/weights size mismatch or empty cloud")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValueError("weights must sum to 1")
-        order = np.argsort(v, kind="stable")
-        v, w = v[order], w[order]
-        keep = w > 0
-        parts.append((v[keep], np.cumsum(w[keep])))
-    (xv, xc), (yv, yc) = parts
-    edges = np.union1d(np.union1d(xc, yc), [0.0, 1.0])
-    edges = np.clip(edges, 0.0, 1.0)
+    edges = np.clip(np.unique(np.concatenate((xc, yc, (0.0, 1.0)))), 0.0, 1.0)
     lengths = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     # quantile at level u: first atom whose cumulative weight reaches u
     xi = np.minimum(np.searchsorted(xc, mids, side="left"), xv.size - 1)
     yi = np.minimum(np.searchsorted(yc, mids, side="left"), yv.size - 1)
-    cost = np.sum(lengths * np.abs(xv[xi] - yv[yi]) ** p)
-    return float(cost ** (1.0 / p))
+    return float(np.sum(lengths * np.abs(xv[xi] - yv[yi]) ** p))
+
+
+def wasserstein_p_clouds(x, wx, y, wy, p: float) -> float:
+    """Exact W_p between weighted atom clouds on R (weights summing to 1)."""
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
+    cost = _sorted_clouds_cost(*_sorted_cloud(x, wx), *_sorted_cloud(y, wy), p)
+    return cost ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ path at a time.
 import numpy as np
 
 from pathlift import wasserstein_p_clouds
+from pathlift.lift_builder import _CurveCost
 
 
 def holder_rows(values, h, gamma):
@@ -143,3 +144,26 @@ def lift_energy_loop(pi, spec):
         for j in range(pi.n_paths)
     ]
     return float(pi.weights @ np.array(energies))
+
+
+class CloudCostLoop(_CurveCost):
+    """Weighted-marginal W_p^p cell by cell, wasserstein_p_clouds(...) ** p.
+
+    Each call validates and sorts both clouds again; only cells with
+    j > i are filled, as the kernels read no others.
+    """
+
+    def __init__(self, atoms, weights, p):
+        super().__init__(atoms, p)
+        self.cloud_weights = weights
+
+    def __call__(self, i, j):
+        sites = np.arange(self.k)
+        ii, jj = np.broadcast_arrays(sites[i], sites[j])
+        out = np.zeros(ii.shape + (1,))
+        for pos in zip(*np.nonzero(jj > ii)):
+            out[pos] = wasserstein_p_clouds(
+                self.atoms[ii[pos], :, 0], self.cloud_weights,
+                self.atoms[jj[pos], :, 0], self.cloud_weights, self.p,
+            ) ** self.p
+        return out

@@ -364,6 +364,41 @@ def test_sde_form1_zero_noise_reproduces_w(tmp_path, capsys):
     assert "max_deviation" not in obj
 
 
+def test_sde_form1_zero_noise_in_two_dimensions(tmp_path, capsys):
+    # W has one coordinate per coordinate of x0
+    cfg = write_config(tmp_path, {
+        "preset": "she-form1", "depth": 3, "substeps": 32,
+        "n_seeds": 2, "zero_noise": True, "x0": [0.5, -1.0], "seed": 6,
+    })
+    out = tmp_path / "out"
+    assert main(["sde", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "sde_paths.csv")
+    assert len(rows) == 2 * 9
+    assert list(rows[0]) == ["run_id", "seed", "q", "t", "x_1", "x_2"]
+    for i in range(2):
+        w = BrownianPath(seed=_rng.derive_seed(6, i), depth=3, dim=2)
+        run = [r for r in rows if r["run_id"] == str(i)]
+        xs = np.array([[float(r["x_1"]), float(r["x_2"])] for r in run])
+        assert np.max(np.abs(xs - (w.values + [0.5, -1.0]))) < 1e-12
+
+
+@pytest.mark.parametrize("extra,key", [
+    ({"n_seeds": 0}, "n_seeds"),
+    ({"n_seeds": -2}, "n_seeds"),
+    ({"quantiles": []}, "quantiles"),
+    ({"preset": "heat", "quantiles": []}, "quantiles"),
+    ({"x0": [0.0, 1.0]}, "x0"),
+])
+def test_sde_rejects_bad_run_counts_and_starts(tmp_path, capsys, extra, key):
+    cfg = write_config(tmp_path, {
+        "preset": "she-form2", "depth": 3, "substeps": 1024, **extra,
+    })
+    out = tmp_path / "out"
+    assert main(["sde", "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "sde.json").exists()
+
+
 def test_sde_form2_stays_on_the_quantile_curve(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "preset": "she-form2", "depth": 3, "substeps": 4096,
@@ -392,8 +427,8 @@ def test_sde_divergence_exits_3(tmp_path, capsys, monkeypatch):
     def blowup():
         return SdeCoefficients(
             drift=lambda t, x, w: 1e3 * x * x,
-            diffusion_a=lambda t, x, w: np.zeros((x.size, x.size)),
-            common_sigma=lambda t, x, w: np.zeros((x.size, x.size)),
+            diffusion_a=lambda t, x, w: np.zeros((x.shape[-1],) * 2),
+            common_sigma=lambda t, x, w: np.zeros((x.shape[-1],) * 2),
             name="blowup",
         )
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kernel_oracles import (
+    CloudCostLoop,
     besov_walk,
     curve_energy_pairs,
     holder_rows,
@@ -36,6 +37,7 @@ from pathlift import (
     tightness_diagnostic,
 )
 from pathlift import path_norms
+from pathlift.lift_builder import _CloudCost, _energy
 
 REL = 1e-12
 
@@ -156,6 +158,28 @@ def test_marginal_curve_energy_matches_pair_loops(depth, n, uniform):
         )
         assert marginal_curve_energy(pi, spec) == pytest.approx(
             expected, rel=REL, abs=1e-300
+        )
+
+
+@pytest.mark.parametrize("depth,n,zeros", [(0, 1, 0), (3, 5, 1), (5, 33, 4)])
+def test_cloud_cost_matches_wasserstein_p_clouds(depth, n, zeros):
+    # each site sorted once, then one merge per cell, against a fresh
+    # wasserstein_p_clouds(...) ** p per cell; some weights are zero
+    gen = np.random.default_rng(40 + depth)
+    pi = random_measure(gen, depth, n, uniform=False)
+    weights = pi.weights.copy()
+    weights[:zeros] = 0.0
+    weights /= weights.sum()
+    atoms = pi.paths.transpose(1, 0, 2)
+    sites = np.arange(2 ** depth + 1)
+    for spec in SPECS:
+        fast = _CloudCost(atoms, weights, spec.p)
+        loop = CloudCostLoop(atoms, weights, spec.p)
+        assert fast(sites[:, None], sites) == pytest.approx(
+            loop(sites[:, None], sites), rel=REL, abs=1e-300
+        )
+        assert _energy(fast, spec) == pytest.approx(
+            _energy(loop, spec), rel=REL, abs=1e-300
         )
 
 

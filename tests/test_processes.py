@@ -20,6 +20,7 @@ from pathlift import (
     brownian_bundle,
     build_dyadic_lift,
     coefficient_preset,
+    euler_flow,
     euler_maruyama,
     gaussian_quantile,
     heat_flow_marginal,
@@ -43,8 +44,8 @@ from pathlift.lift_builder import MeasurePathSample
 def zero_coeffs():
     return SdeCoefficients(
         drift=lambda t, x, w: np.zeros_like(x),
-        diffusion_a=lambda t, x, w: np.zeros((x.size, x.size)),
-        common_sigma=lambda t, x, w: np.zeros((x.size, x.size)),
+        diffusion_a=lambda t, x, w: np.zeros((x.shape[-1],) * 2),
+        common_sigma=lambda t, x, w: np.zeros((x.shape[-1],) * 2),
         name="frozen",
     )
 
@@ -329,8 +330,8 @@ def blowup_coeffs():
     """dX = 1e3 X^2 dt, which leaves the finite floats within a few steps."""
     return SdeCoefficients(
         drift=lambda t, x, w: 1e3 * x * x,
-        diffusion_a=lambda t, x, w: np.zeros((x.size, x.size)),
-        common_sigma=lambda t, x, w: np.zeros((x.size, x.size)),
+        diffusion_a=lambda t, x, w: np.zeros((x.shape[-1],) * 2),
+        common_sigma=lambda t, x, w: np.zeros((x.shape[-1],) * 2),
         name="blowup",
     )
 
@@ -352,7 +353,10 @@ def test_euler_divergence_names_step_time_and_seeds():
     # a state-dependent diffusion sees the non-finite state first; it is
     # still a divergence, not a parabolicity failure
     grows = dataclasses.replace(
-        blowup_coeffs(), diffusion_a=lambda t, x, w: (1.0 + x @ x) * np.eye(1)
+        blowup_coeffs(),
+        diffusion_a=lambda t, x, w: (
+            (1.0 + np.sum(x * x, axis=-1))[:, None, None] * np.eye(x.shape[-1])
+        ),
     )
     with pytest.raises(DivergenceError) as info:
         euler_maruyama(grows, w, 77, [1.0], substeps=256)
@@ -385,6 +389,136 @@ def test_euler_form2_refuses_t0_zero():
     w = BrownianPath(seed=25, depth=2)
     with pytest.raises(ValueError, match="singular"):
         euler_maruyama(coefficient_preset("she-form2"), w, 0, [0.0], substeps=8)
+
+
+# ---------------------------------------------------------------------------
+# stochastic flows: many starts, one W and one B stream
+
+
+def test_parabolicity_stacks_match_single_matrices():
+    gen = np.random.default_rng(30)
+    sigma = gen.standard_normal((2, 2))
+    q = gen.standard_normal((4, 2, 2))
+    a = 0.5 * (sigma @ sigma.T + q @ q.transpose(0, 2, 1))
+    a[2] = 0.0  # 2a - sigma sigma^T = -sigma sigma^T fails
+    stacked = parabolicity_and_alpha(a, sigma)
+    assert not stacked.ok
+    assert stacked.alpha.shape == (4, 2, 2)
+    assert stacked.min_eigenvalue.shape == (4,)
+    for i in range(4):
+        one = parabolicity_and_alpha(a[i], sigma)
+        assert one.ok == (i != 2)
+        assert stacked.min_eigenvalue[i] == pytest.approx(
+            one.min_eigenvalue, rel=1e-12, abs=1e-14
+        )
+        assert stacked.alpha[i] == pytest.approx(one.alpha, abs=1e-12)
+    with pytest.raises(ValueError, match="square"):
+        parabolicity_and_alpha(np.ones((3, 2, 2)), np.eye(3))
+
+
+FLOW_PRESETS = [("she-form1", 0.0), ("she-form2", 2.0 ** -6), ("heat", 0.0)]
+
+
+@pytest.mark.parametrize("zero_noise", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("preset,t0", FLOW_PRESETS)
+def test_flow_rows_are_single_runs_bit_for_bit(preset, t0, dim, zero_noise):
+    coeffs = coefficient_preset(preset)
+    w = BrownianPath(seed=31, depth=4, dim=dim)
+    x0s = np.random.default_rng(32).standard_normal((3, dim))
+    flow = euler_flow(coeffs, w, 33, x0s, 256, t0=t0, zero_noise=zero_noise)
+    assert isinstance(flow, PathMeasure)
+    assert flow.paths.shape == (3, 17, dim)
+    assert np.all(flow.weights == 1.0 / 3)
+    for x0, path in zip(x0s, flow.paths):
+        one = euler_maruyama(
+            coeffs, w, 33, x0, 256, t0=t0, zero_noise=zero_noise
+        )
+        assert path.tobytes() == one.values.tobytes()
+
+
+def state_coeffs():
+    """Coefficients that depend on the state, one (d, d) matrix per row.
+
+    2a - sigma sigma^T = (2 + 2|x|^2) I - diag(cos^2 x) >= I.
+    """
+    return SdeCoefficients(
+        drift=lambda t, x, w: np.sin(w) - x,
+        diffusion_a=lambda t, x, w: (
+            (1.0 + np.sum(x * x, axis=-1))[:, None, None] * np.eye(x.shape[-1])
+        ),
+        common_sigma=lambda t, x, w: np.cos(x)[:, :, None] * np.eye(x.shape[-1]),
+        name="state",
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_flow_with_state_dependent_diffusion_matches_single_runs(dim):
+    w = BrownianPath(seed=34, depth=3, dim=dim)
+    x0s = np.random.default_rng(35).standard_normal((4, dim))
+    flow = euler_flow(state_coeffs(), w, 36, x0s, 64)
+    for x0, path in zip(x0s, flow.paths):
+        one = euler_maruyama(state_coeffs(), w, 36, x0, 64)
+        assert path.tobytes() == one.values.tobytes()
+    # every row has its own diffusion, so the rows do not move in lockstep
+    assert not np.allclose(np.diff(flow.paths[0], axis=0),
+                           np.diff(flow.paths[1], axis=0))
+
+
+def test_flow_parabolicity_error_names_the_row():
+    w = BrownianPath(seed=37, depth=2)
+    # 2a - sigma sigma^T = +1 where x > 0 and -1 elsewhere
+    one_sided = SdeCoefficients(
+        drift=lambda t, x, w: np.zeros_like(x),
+        diffusion_a=lambda t, x, w: (x > 0)[:, :, None] * np.eye(1),
+        common_sigma=lambda t, x, w: np.eye(1),
+        name="one-sided",
+    )
+    with pytest.raises(ParabolicityError, match="in row 1") as info:
+        euler_flow(one_sided, w, 0, [[1.0], [-1.0], [2.0]], 4)
+    exc = info.value
+    assert (exc.t, exc.row) == (0.0, 1)
+    assert exc.x.tolist() == [-1.0]
+    assert exc.min_eigenvalue == pytest.approx(-1.0)
+    # shared coefficients fail in every row; the first one is named
+    with pytest.raises(ParabolicityError, match="in row 0"):
+        euler_flow(coefficient_preset("degenerate"), w, 0, [[0.0], [1.0]], 4)
+    with pytest.raises(ParabolicityError) as info:
+        euler_maruyama(coefficient_preset("degenerate"), w, 0, [0.0], 4)
+    assert info.value.row is None and "row" not in str(info.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_flow_divergence_names_the_row():
+    x, step = 1.0, 0
+    while np.isfinite(x):
+        x, step = x + 1e3 * x * x / 256, step + 1
+    w = BrownianPath(seed=38, depth=2)
+    with pytest.raises(DivergenceError, match="in row 1") as info:
+        euler_flow(blowup_coeffs(), w, 77, [[0.0], [1.0], [0.5]], 256)
+    exc = info.value
+    assert (exc.step, exc.t, exc.row) == (step, step / 256, 1)
+    assert (exc.seed, exc.seed_b) == (38, 77)
+    with pytest.raises(DivergenceError) as info:
+        euler_maruyama(blowup_coeffs(), w, 77, [1.0], substeps=256)
+    assert info.value.row is None and "row" not in str(info.value)
+
+
+def test_flow_validates_starts_and_matrix_shapes():
+    w = BrownianPath(seed=39, depth=2, dim=2)
+    coeffs = coefficient_preset("heat")
+    for bad in ([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0, 2.0]],
+                [[0.0, np.nan]]):
+        with pytest.raises(ValueError, match="finite vectors of dimension 2"):
+            euler_flow(coeffs, w, 0, bad, 4)
+    one_by_one = dataclasses.replace(
+        coeffs,
+        diffusion_a=lambda t, x, w: np.eye(1),
+        common_sigma=lambda t, x, w: np.zeros((1, 1)),
+    )
+    with pytest.raises(ValueError, match=r"\(2, 2\) or \(3, 2, 2\)"):
+        euler_flow(one_by_one, w, 0, np.zeros((3, 2)), 4)
 
 
 # ---------------------------------------------------------------------------
