@@ -83,13 +83,26 @@ def grid_depth(times: np.ndarray, horizon: float) -> int:
     return n.bit_length() - 1
 
 
+_NOUNS = {int: "an integer", float: "a number", str: "a string",
+          bool: "true or false", list: "a list"}
+
+
+def _has_kind(value, kind) -> bool:
+    if kind in (str, bool, list):
+        return isinstance(value, kind)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return kind is float or not isinstance(value, float) or value.is_integer()
+
+
 def json_fields(obj, what: str, **kinds) -> list:
     """Values of the named fields of a JSON object (a str or a mapping).
 
-    Each keyword names a field and gives its kind, ``int``, ``float`` or
-    ``list`` (read as a float array), or ``(kind, default)`` if optional.
-    A missing or mistyped field, or an ``int`` field that is not integral,
-    raises ValueError("malformed <what> object: ...").
+    Each keyword names a field and gives its kind, ``int``, ``float``,
+    ``str``, ``bool`` or ``list`` (a JSON array, read as a float array),
+    or ``(kind, default)`` if optional. A missing or mistyped field (a
+    boolean is not a number, an ``int`` field must be integral) raises
+    ValueError("malformed <what> object: ...") naming the field.
     """
 
     def malformed(reason):
@@ -104,21 +117,20 @@ def json_fields(obj, what: str, **kinds) -> list:
     values = []
     for name, kind in kinds.items():
         kind, default = kind if isinstance(kind, tuple) else (kind, _REQUIRED)
-        value = obj.get(name, default)
-        if value is _REQUIRED:
-            raise malformed(f"missing field {name!r}")
         if name not in obj:
-            values.append(value)
-        elif kind is list:
+            if default is _REQUIRED:
+                raise malformed(f"missing field {name!r}")
+            values.append(default)
+            continue
+        value = obj[name]
+        if not _has_kind(value, kind):
+            raise malformed(
+                f"field {name!r} must be {_NOUNS[kind]}, got {value!r}"
+            )
+        if kind is list:
             try:
-                values.append(np.asarray(value, dtype=float))
+                value = np.asarray(value, dtype=float)
             except (TypeError, ValueError) as exc:
                 raise malformed(f"field {name!r}: {exc}") from exc
-        elif (isinstance(value, bool) or not isinstance(value, (int, float))
-                or kind is int and isinstance(value, float)
-                and not value.is_integer()):
-            noun = "an integer" if kind is int else "a number"
-            raise malformed(f"field {name!r} must be {noun}, got {value!r}")
-        else:
-            values.append(kind(value))
+        values.append(kind(value) if kind in (int, float) else value)
     return values

@@ -7,6 +7,18 @@ deterministic function of (config, seed): files carry no timestamps,
 floats are written in shortest round-trip form, and reruns are
 byte-identical. Every emitted JSON document carries "spec_version": 1.
 
+Config values are typed by ``_codec.json_fields``: a key the subcommand
+does not know, or a value of the wrong JSON type (a string or boolean
+for a number, a fraction for an integer, a number for a list, anything
+but true or false for a flag) is a config error that names the key.
+
+``lift``, ``demo`` and ``estimate`` sample their fixture from one table,
+``_Fixture``: "she" is the randomly forced heat flow N(W_t, t) and
+"heat" the deterministic heat flow N(0, t). At a scenario seed s every
+command sees the same curve, the same quantile, shuffled and independent
+lifts and the same W_p marginals; the shuffled lift permutes with the
+seed ``derive_seed(s, 1)``.
+
 Exit codes: 0 on success, 2 for config or input errors, 3 when a
 mathematical precondition fails (for example a coefficient preset that
 violates parabolicity).
@@ -19,10 +31,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _rng
-from ._codec import write_table
+from ._codec import json_fields, write_table
 from .errors import MathPreconditionError
 from .lift_builder import (
     bound_factor,
@@ -41,14 +52,13 @@ from .mc_estimator import (
     process_besov_energy,
     scenario_seeds,
 )
-from .path_norms import NormSpec, path_from_csv
+from .path_norms import NormSpec, _grid_index, path_from_csv
 from .processes import (
     BrownianPath,
     brownian_bundle,
     coefficient_preset,
     euler_flow,
     gaussian_quantile,
-    heat_flow_marginal,
     heat_flow_path,
     independent_particle_paths,
     preset_names,
@@ -100,6 +110,13 @@ def _check_keys(config, allowed, command):
         )
 
 
+def _fields(config, command, **kinds):
+    """Typed values of a config object (``json_fields``), no unknown keys."""
+    if isinstance(config, dict):
+        _check_keys(config, kinds, command)
+    return json_fields(config, f"{command} config", **kinds)
+
+
 def _write_file(out_dir, name, write):
     with open(out_dir / name, "w", encoding="utf-8", newline="") as f:
         write(f)
@@ -116,30 +133,85 @@ def _write_csv(out_dir, name, header, rows):
 
 
 def _dyadic_index(t, depth, what):
-    k = t * 2 ** depth
-    if not 0.0 <= t <= 1.0 or abs(k - round(k)) > 1e-9:
+    try:
+        return _grid_index(t, depth)
+    except ValueError:
         raise ConfigError(
             f"{what}={t} is not a dyadic grid time at depth {depth}"
-        )
-    return int(round(k))
+        ) from None
 
 
 def _norm_spec(obj):
-    if not isinstance(obj, dict):
-        raise ConfigError("norm entries must be JSON objects")
-    unknown = sorted(set(obj) - {"kind", "p", "alpha", "gamma"})
-    if unknown:
-        raise ConfigError(f"unknown norm keys: {', '.join(unknown)}")
-    if "kind" not in obj or "p" not in obj:
-        raise ConfigError("norm entries need at least 'kind' and 'p'")
-    alpha = obj.get("alpha")
-    gamma = obj.get("gamma")
-    return NormSpec(
-        kind=obj["kind"],
-        p=float(obj["p"]),
-        alpha=None if alpha is None else float(alpha),
-        gamma=None if gamma is None else float(gamma),
+    kind, p, alpha, gamma = _fields(
+        obj, "norm entry", kind=str, p=float, alpha=(float, None),
+        gamma=(float, None),
     )
+    return NormSpec(kind=kind, p=p, alpha=alpha, gamma=gamma)
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+
+
+class _Fixture:
+    """One command's samplers of a fixture: curve, lifts and W_p pair.
+
+    "she" draws one scenario per seed; "heat" is the same at every seed.
+    """
+
+    def __init__(self, name, n_atoms):
+        if name not in ("heat", "she"):
+            raise ConfigError(f"unknown fixture {name!r}")
+        self.name = name
+        self._c = gaussian_quantile(midpoint_grid(n_atoms))
+        # one entry each: a seed's samplers share its scenario, and heat
+        # builds its curve and marginals once; the builders are looked up
+        # in this module at call time, so tests can count the builds
+        self.scenario = functools.lru_cache(maxsize=1)(
+            lambda seed, depth: stochastic_heat_scenario(seed, depth, n_atoms)
+        )
+        self._heat_curve = functools.lru_cache(maxsize=1)(
+            lambda depth: heat_flow_path(depth, n_atoms)
+        )
+        self._heat_marginals = functools.lru_cache(maxsize=1)(
+            lambda s, t: tuple(
+                QuantileMeasure(np.sqrt(u) * self._c) for u in (s, t)
+            )
+        )
+
+    def curve(self, seed, depth):
+        """The measure curve on the level-depth grid."""
+        if self.name == "heat":
+            return self._heat_curve(depth)
+        return self.scenario(seed, depth).measure_path
+
+    def lift(self, kind, seed, depth, count=None):
+        """The quantile, shuffled or independent (count paths) lift."""
+        if kind == "quantile":
+            return build_dyadic_lift(self.curve(seed, depth), "quantile", depth)
+        if kind == "shuffled":
+            return build_shuffled_lift(
+                self.curve(seed, depth), _rng.derive_seed(seed, 1)
+            )
+        if kind != "independent":
+            raise ConfigError(
+                "lift must be one of quantile, shuffled, independent"
+            )
+        if self.name == "heat":
+            return brownian_bundle(seed, depth, count)
+        return independent_particle_paths(
+            self.scenario(seed, depth), seed, count
+        )
+
+    def marginals(self, seed, depth, s, t):
+        """The marginals at the level-depth grid times s and t."""
+        if self.name == "heat":
+            return self._heat_marginals(s, t)
+        w = BrownianPath(seed=seed, depth=depth).values[:, 0]
+        return tuple(
+            QuantileMeasure(w[_grid_index(u, depth)] + np.sqrt(u) * self._c)
+            for u in (s, t)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +219,14 @@ def _norm_spec(obj):
 
 
 def _cmd_norms(config, out_dir, seed, preset):
-    _check_keys(config, {"input", "norms", "out", "seed"}, "norms")
+    _check_keys(config, {"input", "norms"}, "norms")
     inputs = config.get("input")
-    if inputs is None:
-        raise ConfigError("missing config key 'input'")
     if isinstance(inputs, str):
         inputs = [inputs]
+    if not isinstance(inputs, list) or not all(
+        isinstance(inp, str) for inp in inputs
+    ):
+        raise ConfigError("'input' must be a path or a list of paths")
     norm_objs = config.get("norms")
     if not isinstance(norm_objs, list) or not norm_objs:
         raise ConfigError("'norms' must be a nonempty list")
@@ -187,13 +261,9 @@ def _cmd_norms(config, out_dir, seed, preset):
 
 
 def _cmd_ot(config, out_dir, seed, preset):
-    _check_keys(config, {"mu", "nu", "p", "out", "seed"}, "ot")
-    p = float(config.get("p", 2.0))
+    *fnames, p = _fields(config, "ot", mu=str, nu=str, p=(float, 2.0))
     measures = {}
-    for key in ("mu", "nu"):
-        fname = config.get(key)
-        if fname is None:
-            raise ConfigError(f"missing config key {key!r}")
+    for key, fname in zip(("mu", "nu"), fnames):
         try:
             with open(fname, encoding="utf-8", newline="") as f:
                 measures[key] = qm_from_csv(f)
@@ -220,30 +290,16 @@ def _cmd_ot(config, out_dir, seed, preset):
 
 
 def _cmd_lift(config, out_dir, seed, preset):
-    _check_keys(
-        config,
-        {"fixture", "depth", "n_atoms", "alpha", "p", "dump_paths", "out",
-         "seed"},
-        "lift",
+    fixture, depth, n_atoms, alpha, p, dump_paths = _fields(
+        config, "lift", fixture=(str, "heat"), depth=(int, 6),
+        n_atoms=(int, 256), alpha=(float, 0.6), p=(float, 2.0),
+        dump_paths=(bool, False),
     )
-    fixture = config.get("fixture", "heat")
-    if fixture not in ("heat", "she"):
-        raise ConfigError(f"unknown lift fixture {fixture!r}")
-    depth = int(config.get("depth", 6))
-    n_atoms = int(config.get("n_atoms", 256))
-    alpha = float(config.get("alpha", 0.6))
-    p = float(config.get("p", 2.0))
+    fx = _Fixture(fixture, n_atoms)
     spec = NormSpec(kind="besov", p=p, alpha=alpha)
-    if fixture == "heat":
-        provider = lambda n: heat_flow_path(n, n_atoms)
-    else:
-        provider = lambda n: stochastic_heat_scenario(
-            seed, n, n_atoms
-        ).measure_path
-    # one entry: refine_and_track ends on the finest curve, reused below
-    provider = functools.lru_cache(maxsize=1)(provider)
-    levels = refine_and_track(provider, spec, depth)
-    finest = build_dyadic_lift(provider(depth), "quantile", depth)
+    levels = refine_and_track(lambda n: fx.curve(seed, n), spec, depth)
+    # refine_and_track ends on the finest curve, which the fixture holds
+    finest = fx.lift("quantile", seed, depth)
     final_energy = levels[-1].energy
     marg_energy = marginal_curve_energy(finest, spec)
     files = [
@@ -268,7 +324,7 @@ def _cmd_lift(config, out_dir, seed, preset):
             "gap": final_energy - marg_energy,
         }),
     ]
-    if config.get("dump_paths", False):
+    if dump_paths:
         files.append(_write_file(
             out_dir, "lift_paths.csv", lambda f: pm_to_csv(finest, f)
         ))
@@ -282,109 +338,70 @@ _DEMO_DEFAULTS = {
 }
 
 
-def _she_wp_sampler(depth, n_atoms, s, t):
-    """seed -> the SHE marginals N(W_s, s) and N(W_t, t) at grid times s, t."""
-    c = ndtri(midpoint_grid(n_atoms))
-    i, j = round(s * 2 ** depth), round(t * 2 ** depth)
-
-    def sampler(sd):
-        wv = BrownianPath(seed=sd, depth=depth).values[:, 0]
-        return (
-            QuantileMeasure(wv[i] + np.sqrt(s) * c),
-            QuantileMeasure(wv[j] + np.sqrt(t) * c),
-        )
-
-    return sampler
-
-
-def _holder_points(preset, p, depth, n_atoms, cfg, s, ks):
+def _holder_points(fx, p, depth, cfg, s, ks):
     points = []
     for k in ks:
         h = 2.0 ** -k
         _dyadic_index(s + h, depth, "s+h")
-        if preset == "she":
-            sampler = _she_wp_sampler(depth, n_atoms, s, s + h)
-            est = expected_wp(sampler, p, cfg)
-            points.append((h, est.mean, est.std_error))
-        else:
-            dist = wasserstein_p(
-                heat_flow_marginal(s, n_atoms),
-                heat_flow_marginal(s + h, n_atoms),
-                p,
-            )
+        if fx.name == "heat":
+            # deterministic: one W_p, not n_mc equal ones
+            dist = wasserstein_p(*fx.marginals(None, depth, s, s + h), p)
             points.append((h, float(dist), 0.0))
+        else:
+            est = expected_wp(
+                lambda sd: fx.marginals(sd, depth, s, s + h), p, cfg
+            )
+            points.append((h, est.mean, est.std_error))
     return points
 
 
 def _cmd_demo(config, out_dir, seed, preset):
-    _check_keys(
-        config,
-        {"preset", "p", "alpha", "depth", "n_atoms", "n_mc", "count",
-         "paths_dump", "s", "lag_k_min", "lag_k_max", "out", "seed"},
-        "demo",
+    (cfg_preset, p, alpha, depth, n_atoms, n_mc, count, paths_dump, s,
+     k_min, k_max) = _fields(
+        config, "demo", preset=(str, None), p=(float, None),
+        alpha=(float, None), depth=(int, 8), n_atoms=(int, 256),
+        n_mc=(int, None), count=(int, 8), paths_dump=(int, 16),
+        s=(float, 0.25), lag_k_min=(int, 2), lag_k_max=(int, None),
     )
-    preset = preset or config.get("preset")
+    preset = preset or cfg_preset
     if preset not in ("heat", "she"):
         raise ConfigError("demo preset must be 'heat' or 'she'")
     defaults = _DEMO_DEFAULTS[preset]
-    p = float(config.get("p", defaults["p"]))
+    p = defaults["p"] if p is None else p
     if preset == "she" and p <= 2:
         raise ConfigError("α window empty for p ≤ 2 in S-HE demo")
-    alpha = float(config.get("alpha", defaults["alpha"]))
-    depth = int(config.get("depth", 8))
-    n_atoms = int(config.get("n_atoms", 256))
-    n_mc = int(config.get("n_mc", defaults["n_mc"]))
-    count = int(config.get("count", 8))
-    paths_dump = int(config.get("paths_dump", 16))
-    s = float(config.get("s", 0.25))
-    k_min = int(config.get("lag_k_min", 2))
-    k_max = int(config.get("lag_k_max", min(8, depth)))
+    alpha = defaults["alpha"] if alpha is None else alpha
+    n_mc = defaults["n_mc"] if n_mc is None else n_mc
+    k_max = min(8, depth) if k_max is None else k_max
     if not 0 < k_min <= k_max <= depth:
         raise ConfigError("need 0 < lag_k_min <= lag_k_max <= depth")
+    _dyadic_index(s, depth, "s")
     spec = NormSpec(kind="besov", p=p, alpha=alpha)
     cfg = McConfig(n_mc=n_mc, base_seed=seed, depth=depth, n_atoms=n_atoms)
+    fx = _Fixture(preset, n_atoms)
 
-    if preset == "she":
-        # one entry, keyed on the seed: the samplers of one seed share it
-        scenario = functools.lru_cache(maxsize=1)(
-            lambda sd: stochastic_heat_scenario(sd, depth, n_atoms)
-        )
-        marginal_sampler = lambda sd: scenario(sd).measure_path
-        q_sampler = lambda sd: build_dyadic_lift(
-            scenario(sd).measure_path, "quantile", depth
-        )
-        sh_sampler = lambda sd: build_shuffled_lift(
-            scenario(sd).measure_path, _rng.derive_seed(sd, 1)
-        )
-        ind_sampler = lambda sd: independent_particle_paths(
-            scenario(sd), sd, count
-        )
-    else:
-        curve = heat_flow_path(depth, n_atoms)
-        qlift = build_dyadic_lift(curve, "quantile", depth)
-        marginal_sampler = lambda sd: curve
-        q_sampler = lambda sd: qlift
-        sh_sampler = lambda sd: build_shuffled_lift(curve, sd)
-        ind_sampler = lambda sd: brownian_bundle(sd, depth, count)
+    def lifts(kind):
+        return lambda sd: fx.lift(kind, sd, depth, count)
 
     sd0 = scenario_seeds(cfg)[0]
+    # drawn first, so the comparison's first seed sd0 finds its scenario
+    independent_paths = fx.lift("independent", sd0, depth, count)
     if preset == "she":
-        # drawn first, so the comparison's first seed sd0 finds it built
-        scn = scenario(sd0)
-        quantile_paths = quantile_particle_paths(scn, paths_dump)
-        independent_paths = independent_particle_paths(scn, sd0, count)
+        quantile_paths = quantile_particle_paths(
+            fx.scenario(sd0, depth), paths_dump
+        )
     else:
         quantile_paths = build_dyadic_lift(
             heat_flow_path(depth, paths_dump), "quantile", depth
         )
-        independent_paths = brownian_bundle(sd0, depth, count)
 
-    comp = compare_lifts(q_sampler, sh_sampler, marginal_sampler, spec, cfg)
-    ind_est = expected_lift_energy(ind_sampler, spec, cfg)
-
-    points = _holder_points(
-        preset, p, depth, n_atoms, cfg, s, range(k_min, k_max + 1)
+    comp = compare_lifts(
+        lifts("quantile"), lifts("shuffled"), lambda sd: fx.curve(sd, depth),
+        spec, cfg,
     )
+    ind_est = expected_lift_energy(lifts("independent"), spec, cfg)
+
+    points = _holder_points(fx, p, depth, cfg, s, range(k_min, k_max + 1))
     slope = float(np.polyfit(
         np.log([pt[0] for pt in points]),
         np.log([pt[1] for pt in points]), 1,
@@ -445,7 +462,7 @@ def _cmd_demo(config, out_dir, seed, preset):
         "files": sorted(files + ["demo.json"]),
     }
     if preset == "she":
-        wp01 = expected_wp(_she_wp_sampler(0, n_atoms, 0.0, 1.0), 2.0, cfg)
+        wp01 = expected_wp(lambda sd: fx.marginals(sd, 0, 0.0, 1.0), 2.0, cfg)
         summary["wp_01"] = {"estimate": wp01.mean,
                             "std_error": wp01.std_error, "n": wp01.n}
     files.append(_write_json(out_dir, "demo.json", summary))
@@ -454,13 +471,16 @@ def _cmd_demo(config, out_dir, seed, preset):
 
 
 def _cmd_sde(config, out_dir, seed, preset):
-    _check_keys(
-        config,
-        {"preset", "depth", "substeps", "t0", "quantiles", "x0", "n_seeds",
-         "threshold", "zero_noise", "out", "seed"},
-        "sde",
+    if type(config.get("x0")) in (int, float):  # one coordinate, bare
+        config = {**config, "x0": [config["x0"]]}
+    (cfg_preset, depth, substeps, t0, quantiles, x0, n_seeds, threshold,
+     zero_noise) = _fields(
+        config, "sde", preset=(str, None), depth=(int, 8),
+        substeps=(int, 4096), t0=(float, None),
+        quantiles=(list, np.array([0.1, 0.5, 0.9])), x0=(list, np.zeros(1)),
+        n_seeds=(int, 3), threshold=(float, 5e-2), zero_noise=(bool, False),
     )
-    preset = preset or config.get("preset")
+    preset = preset or cfg_preset
     if preset is None:
         raise ConfigError(
             f"missing preset; known: {', '.join(preset_names())}"
@@ -469,22 +489,17 @@ def _cmd_sde(config, out_dir, seed, preset):
         coeffs = coefficient_preset(preset)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    depth = int(config.get("depth", 8))
-    substeps = int(config.get("substeps", 4096))
     form2 = preset == "she-form2"
-    t0 = float(config.get("t0", 2.0 ** -10 if form2 else 0.0))
-    n_seeds = int(config.get("n_seeds", 3))
-    threshold = float(config.get("threshold", 5e-2))
-    zero_noise = bool(config.get("zero_noise", False))
-    quantiles = [float(q) for q in config.get("quantiles", [0.1, 0.5, 0.9])]
-    x0 = np.asarray(config.get("x0", [0.0]), dtype=float).reshape(-1)
+    if t0 is None:
+        t0 = 2.0 ** -10 if form2 else 0.0
+    x0 = x0.reshape(-1)
     if n_seeds < 1:
         raise ConfigError("n_seeds must be at least 1")
-    if not quantiles:
-        raise ConfigError("quantiles must not be empty")
+    if quantiles.ndim != 1 or not quantiles.size:
+        raise ConfigError("quantiles must be a nonempty list of levels")
+    quantiles = quantiles.tolist()
     if form2 and x0.size != 1:
         raise ConfigError("x0 must have one coordinate for she-form2")
-
     if form2:
         # each quantile run starts on its curve c(q) sqrt(t) + W_t at t0
         level = substeps.bit_length() - 1
@@ -546,84 +561,38 @@ def _cmd_sde(config, out_dir, seed, preset):
 
 
 def _cmd_estimate(config, out_dir, seed, preset):
-    _check_keys(
-        config,
-        {"target", "fixture", "p", "alpha", "s", "t", "n_mc", "depth",
-         "n_atoms", "lift", "count", "out", "seed"},
-        "estimate",
+    (target, fixture, p, alpha, s, t, n_mc, depth, n_atoms, lift_kind,
+     count) = _fields(
+        config, "estimate", target=(str, None), fixture=(str, "she"),
+        p=(float, 2.0), alpha=(float, None), s=(float, 0.0), t=(float, 1.0),
+        n_mc=(int, 1000), depth=(int, 8), n_atoms=(int, 256),
+        lift=(str, "quantile"), count=(int, 8),
     )
-    target = config.get("target")
     if target not in ("wp", "besov_energy", "lift_energy"):
         raise ConfigError(
             "target must be one of wp, besov_energy, lift_energy"
         )
-    fixture = config.get("fixture", "she")
-    if fixture not in ("heat", "she"):
-        raise ConfigError(f"unknown fixture {fixture!r}")
-    p = float(config.get("p", 2.0))
-    depth = int(config.get("depth", 8))
-    n_atoms = int(config.get("n_atoms", 256))
-    cfg = McConfig(
-        n_mc=int(config.get("n_mc", 1000)), base_seed=seed,
-        depth=depth, n_atoms=n_atoms,
-    )
+    fx = _Fixture(fixture, n_atoms)
+    cfg = McConfig(n_mc=n_mc, base_seed=seed, depth=depth, n_atoms=n_atoms)
 
     if target == "wp":
-        s = float(config.get("s", 0.0))
-        t = float(config.get("t", 1.0))
         _dyadic_index(s, depth, "s")
         _dyadic_index(t, depth, "t")
-        if fixture == "she":
-            sampler = _she_wp_sampler(depth, n_atoms, s, t)
-        else:
-            mu = heat_flow_marginal(s, n_atoms)
-            nu = heat_flow_marginal(t, n_atoms)
-            sampler = lambda sd: (mu, nu)
-        est = expected_wp(sampler, p, cfg)
+        est = expected_wp(lambda sd: fx.marginals(sd, depth, s, t), p, cfg)
         extra = {"s": s, "t": t}
+    elif alpha is None:
+        raise ConfigError(f"target {target!r} needs 'alpha'")
+    elif target == "besov_energy":
+        est = process_besov_energy(
+            lambda sd: fx.curve(sd, depth), alpha, p, cfg
+        )
+        extra = {"alpha": alpha}
     else:
-        alpha = config.get("alpha")
-        if alpha is None:
-            raise ConfigError(f"target {target!r} needs 'alpha'")
-        alpha = float(alpha)
-        if fixture == "she":
-            curve_sampler = lambda sd: stochastic_heat_scenario(
-                sd, depth, n_atoms
-            ).measure_path
-        else:
-            curve = heat_flow_path(depth, n_atoms)
-            curve_sampler = lambda sd: curve
-        if target == "besov_energy":
-            est = process_besov_energy(curve_sampler, alpha, p, cfg)
-            extra = {"alpha": alpha}
-        else:
-            lift_kind = config.get("lift", "quantile")
-            count = int(config.get("count", 8))
-            if lift_kind == "quantile":
-                lift_sampler = lambda sd: build_dyadic_lift(
-                    curve_sampler(sd), "quantile", depth
-                )
-            elif lift_kind == "shuffled":
-                lift_sampler = lambda sd: build_shuffled_lift(
-                    curve_sampler(sd), _rng.derive_seed(sd, 1)
-                )
-            elif lift_kind == "independent":
-                if fixture == "she":
-                    lift_sampler = lambda sd: independent_particle_paths(
-                        stochastic_heat_scenario(sd, depth, n_atoms), sd,
-                        count,
-                    )
-                else:
-                    lift_sampler = lambda sd: brownian_bundle(
-                        sd, depth, count
-                    )
-            else:
-                raise ConfigError(
-                    "lift must be one of quantile, shuffled, independent"
-                )
-            spec = NormSpec(kind="besov", p=p, alpha=alpha)
-            est = expected_lift_energy(lift_sampler, spec, cfg)
-            extra = {"alpha": alpha, "lift": lift_kind}
+        spec = NormSpec(kind="besov", p=p, alpha=alpha)
+        est = expected_lift_energy(
+            lambda sd: fx.lift(lift_kind, sd, depth, count), spec, cfg
+        )
+        extra = {"alpha": alpha, "lift": lift_kind}
 
     payload = estimate_to_json(est, cfg)
     payload.update(extra)
@@ -689,10 +658,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        out = args.out if args.out is not None else config.get("out", ".")
-        out_dir = Path(out)
+        out, seed = json_fields(
+            config, "config", out=(str, "."), seed=(int, 0)
+        )
+        out_dir = Path(out if args.out is None else args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = seed if args.seed is None else args.seed
+        config = {k: v for k, v in config.items() if k not in ("out", "seed")}
         return _DISPATCH[args.command](config, out_dir, seed, args.preset)
     except MathPreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

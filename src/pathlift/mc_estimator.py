@@ -32,7 +32,7 @@ from .lift_builder import (
     lift_energy,
     marginal_cloud,
 )
-from .path_norms import NormSpec
+from .path_norms import NormSpec, _grid_index
 from .quantile_transport import wasserstein_p, wasserstein_p_clouds
 
 __all__ = [
@@ -158,12 +158,9 @@ def _spot_check(
     i: int, seed: int,
 ):
     """W_p(lift marginal, curve atoms slices[k]) <= tol at three times."""
-    n_int = slices.shape[0] - 1
+    depth = (slices.shape[0] - 1).bit_length() - 1
     for t in _SPOT_CHECK_TIMES:
-        k = t * n_int
-        if abs(k - round(k)) > 1e-9:
-            raise ValueError("spot-check times need a depth >= 2 curve")
-        ys = slices[int(round(k))]
+        ys = slices[_grid_index(t, depth)]
         wy = np.full(ys.size, 1.0 / ys.size)
         xs, wx = marginal_cloud(pi, t)
         dist = wasserstein_p_clouds(xs[:, 0], wx, ys, wy, p)
@@ -299,8 +296,7 @@ def _pooled_consistency(pooled: PathMeasure, lifts, p: float):
     pair = _lift_cost(pooled, p)
     for s, t in zip(times[:-1], times[1:]):
         dist = wasserstein_p_clouds(*margs[s], *margs[t], p) ** p
-        ks = round(s * 2 ** pooled.depth)
-        kt = round(t * 2 ** pooled.depth)
+        ks, kt = (_grid_index(u, pooled.depth) for u in (s, t))
         cost = float(pair(ks, kt) @ pair.weights)
         if dist > cost + 1e-10 * max(1.0, cost):
             raise ValueError(

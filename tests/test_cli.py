@@ -150,6 +150,36 @@ def test_config_must_be_json_object(tmp_path, capsys):
     assert main(["norms", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("command,obj,key", [
+    ("sde", {"preset": "she-form2", "quantiles": 0.5}, "quantiles"),
+    ("lift", {"depth": 2.7}, "depth"),
+    ("estimate", {"target": "wp", "n_mc": True}, "n_mc"),
+    ("sde", {"preset": "heat", "zero_noise": "false"}, "zero_noise"),
+    ("demo", {"preset": "heat", "p": "2"}, "p"),
+    ("norms", {"input": [], "norms": [{"kind": "pvar", "p": "2"}]}, "p"),
+    ("ot", {"mu": 3, "nu": "nu.csv"}, "mu"),
+    ("lift", {"seed": "7"}, "seed"),
+])
+def test_config_values_are_typed(tmp_path, capsys, command, obj, key):
+    cfg = write_config(tmp_path, obj)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"field {key!r}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sde_accepts_a_scalar_start(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "preset": "she-form1", "depth": 2, "substeps": 4, "n_seeds": 1,
+        "zero_noise": True, "x0": 0.5,
+    })
+    out = tmp_path / "out"
+    assert main(["sde", "--config", cfg, "--out", str(out)]) == 0
+    xs = [float(r["x_1"]) for r in read_rows(out / "sde_paths.csv")]
+    w = BrownianPath(seed=_rng.derive_seed(0, 0), depth=2)
+    assert np.max(np.abs(np.array(xs) - (w.values[:, 0] + 0.5))) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # ot
 
@@ -537,3 +567,79 @@ def test_estimate_error_paths(tmp_path, capsys):
         "target": "wp", "fixture": "heat", "s": 0.3, "n_mc": 1,
     }, "c4.json")
     assert main(["estimate", "--config", cfg, "--out", out]) == 2  # off-grid
+
+
+def test_demo_rejects_an_off_grid_lag_origin(tmp_path, capsys):
+    # s + h lands on the grid, s itself does not
+    cfg = write_config(tmp_path, {
+        "preset": "she", "depth": 3, "n_atoms": 8, "n_mc": 2, "s": -0.25,
+    })
+    assert main(["demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "s=-0.25 is not a dyadic grid time" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the fixtures shared by lift, demo and estimate
+
+
+@pytest.mark.parametrize("preset,p,alpha", [
+    ("she", 4.0, 0.3),
+    ("heat", 2.0, 0.6),
+])
+def test_demo_rows_are_estimate_runs(tmp_path, capsys, preset, p, alpha):
+    sizes = {"p": p, "alpha": alpha, "depth": 3, "n_atoms": 8, "n_mc": 3,
+             "count": 2, "seed": 5}
+    cfg = write_config(tmp_path, {"preset": preset, "paths_dump": 2, **sizes},
+                       "demo.json")
+    assert main(["demo", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    comp = json.loads((tmp_path / "d" / "demo.json").read_text())["comparison"]
+    runs = {
+        "quantile": {"target": "lift_energy", "lift": "quantile"},
+        "shuffled": {"target": "lift_energy", "lift": "shuffled"},
+        "independent": {"target": "lift_energy", "lift": "independent"},
+        "marginal_curve": {"target": "besov_energy"},
+    }
+    for row, target in runs.items():
+        cfg = write_config(tmp_path, {"fixture": preset, **sizes, **target},
+                           f"{row}.json")
+        out = tmp_path / row
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        est = json.loads((out / "estimate.json").read_text())
+        assert est["estimate"] == comp[row]["energy"], row
+        assert est["std_error"] == comp[row]["std_error"], row
+
+
+def test_heat_builds_one_curve_per_depth(tmp_path, capsys, monkeypatch):
+    builds = Counter()
+    build = cli.heat_flow_path
+
+    def counted(depth, n):
+        builds[depth, n] += 1
+        return build(depth, n)
+
+    monkeypatch.setattr(cli, "heat_flow_path", counted)
+    sizes = {"depth": 3, "n_atoms": 8, "alpha": 0.6, "p": 2.0}
+    cfg = write_config(tmp_path, {"fixture": "heat", **sizes}, "lift.json")
+    assert main(["lift", "--config", cfg, "--out", str(tmp_path / "l")]) == 0
+    assert builds == Counter((n, 8) for n in range(4))
+    for n_mc in (1, 4):
+        builds.clear()
+        cfg = write_config(tmp_path, {
+            "preset": "heat", "n_mc": n_mc, "paths_dump": 2, "count": 2,
+            **sizes,
+        }, "demo.json")
+        assert main(["demo", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+        # the curve, and the path dump at paths_dump atoms
+        assert builds == Counter({(3, 8): 1, (3, 2): 1})
+        for target in (
+            {"target": "besov_energy"},
+            {"target": "lift_energy", "lift": "quantile"},
+            {"target": "lift_energy", "lift": "shuffled"},
+        ):
+            builds.clear()
+            cfg = write_config(tmp_path, {
+                "fixture": "heat", "n_mc": n_mc, **sizes, **target,
+            }, "estimate.json")
+            out = str(tmp_path / "e")
+            assert main(["estimate", "--config", cfg, "--out", out]) == 0
+            assert builds == Counter({(3, 8): 1})
