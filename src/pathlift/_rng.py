@@ -22,10 +22,38 @@ def stream_key(name: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _philox_key(seed: int, name: str) -> int:
+    return (int(seed) & _MASK64) | (stream_key(name) << 64)
+
+
 def stream(seed: int, name: str) -> np.random.Generator:
     """Generator for the (seed, name) stream."""
-    key = (int(seed) & _MASK64) | (stream_key(name) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, name)))
+
+
+def streams(seed: int, names):
+    """The (seed, name) stream of each name in turn, as one generator.
+
+    Yields the same Generator for every name, re-keyed to counter 0 with
+    an empty buffer, so it draws exactly what ``stream(seed, name)``
+    would. A caller must be done with one stream before it takes the
+    next. Re-keying skips the bit generator construction, which draws OS
+    entropy for a seed sequence that a keyed Philox never uses.
+    """
+    gen = np.random.Generator(np.random.Philox(0))
+    key = np.zeros(2, dtype=np.uint64)
+    empty = np.zeros(4, dtype=np.uint64)
+    # the state setter copies these arrays, so one set serves every name
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": empty, "key": key},
+        "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    for name in names:
+        k = _philox_key(seed, name)
+        key[0], key[1] = k & _MASK64, k >> 64
+        gen.bit_generator.state = state
+        yield gen
 
 
 def derive_seed(seed: int, index) -> int:

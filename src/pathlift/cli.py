@@ -39,7 +39,6 @@ from .lift_builder import (
     bound_factor,
     build_dyadic_lift,
     build_shuffled_lift,
-    marginal_curve_energy,
     pm_to_csv,
     refine_and_track,
 )
@@ -55,12 +54,12 @@ from .mc_estimator import (
 from .path_norms import NormSpec, _grid_index, path_from_csv
 from .processes import (
     BrownianPath,
+    _independent_paths,
     brownian_bundle,
     coefficient_preset,
     euler_flow,
     gaussian_quantile,
     heat_flow_path,
-    independent_particle_paths,
     preset_names,
     quantile_particle_paths,
     stochastic_heat_scenario,
@@ -157,18 +156,23 @@ class _Fixture:
     """One command's samplers of a fixture: curve, lifts and W_p pair.
 
     "she" draws one scenario per seed; "heat" is the same at every seed.
+    The she common noise W of the last n_seeds seeds is kept, for a
+    command that walks its seeds more than once.
     """
 
-    def __init__(self, name, n_atoms):
+    def __init__(self, name, n_atoms, n_seeds=1):
         if name not in ("heat", "she"):
             raise ConfigError(f"unknown fixture {name!r}")
         self.name = name
         self._c = gaussian_quantile(midpoint_grid(n_atoms))
-        # one entry each: a seed's samplers share its scenario, and heat
-        # builds its curve and marginals once; the builders are looked up
-        # in this module at call time, so tests can count the builds
+        # one entry each but W: a seed's samplers share its scenario, and
+        # heat builds its curve and marginals once; the builders are
+        # looked up in this module at call time, so tests can count them
         self.scenario = functools.lru_cache(maxsize=1)(
             lambda seed, depth: stochastic_heat_scenario(seed, depth, n_atoms)
+        )
+        self._w = functools.lru_cache(maxsize=n_seeds)(
+            lambda seed, depth: BrownianPath(seed=seed, depth=depth)
         )
         self._heat_curve = functools.lru_cache(maxsize=1)(
             lambda depth: heat_flow_path(depth, n_atoms)
@@ -199,15 +203,13 @@ class _Fixture:
             )
         if self.name == "heat":
             return brownian_bundle(seed, depth, count)
-        return independent_particle_paths(
-            self.scenario(seed, depth), seed, count
-        )
+        return _independent_paths(self._w(seed, depth), seed, count)
 
     def marginals(self, seed, depth, s, t):
         """The marginals at the level-depth grid times s and t."""
         if self.name == "heat":
             return self._heat_marginals(s, t)
-        w = BrownianPath(seed=seed, depth=depth).values[:, 0]
+        w = self._w(seed, depth).values[:, 0]
         return tuple(
             QuantileMeasure(w[_grid_index(u, depth)] + np.sqrt(u) * self._c)
             for u in (s, t)
@@ -298,10 +300,8 @@ def _cmd_lift(config, out_dir, seed, preset):
     fx = _Fixture(fixture, n_atoms)
     spec = NormSpec(kind="besov", p=p, alpha=alpha)
     levels = refine_and_track(lambda n: fx.curve(seed, n), spec, depth)
-    # refine_and_track ends on the finest curve, which the fixture holds
-    finest = fx.lift("quantile", seed, depth)
     final_energy = levels[-1].energy
-    marg_energy = marginal_curve_energy(finest, spec)
+    marg_energy = levels[-1].marginal_energy
     files = [
         _write_csv(out_dir, "lift_levels.csv", ["n", "energy", "bound", "ok"],
                    [[r.n, r.energy, r.bound, r.ok] for r in levels]),
@@ -325,6 +325,8 @@ def _cmd_lift(config, out_dir, seed, preset):
         }),
     ]
     if dump_paths:
+        # refine_and_track ends on the finest curve, which the fixture holds
+        finest = fx.lift("quantile", seed, depth)
         files.append(_write_file(
             out_dir, "lift_paths.csv", lambda f: pm_to_csv(finest, f)
         ))
@@ -378,7 +380,8 @@ def _cmd_demo(config, out_dir, seed, preset):
     _dyadic_index(s, depth, "s")
     spec = NormSpec(kind="besov", p=p, alpha=alpha)
     cfg = McConfig(n_mc=n_mc, base_seed=seed, depth=depth, n_atoms=n_atoms)
-    fx = _Fixture(preset, n_atoms)
+    # the independent lifts, the lags and wp_01 each walk every seed's W
+    fx = _Fixture(preset, n_atoms, n_seeds=n_mc)
 
     def lifts(kind):
         return lambda sd: fx.lift(kind, sd, depth, count)
@@ -462,7 +465,10 @@ def _cmd_demo(config, out_dir, seed, preset):
         "files": sorted(files + ["demo.json"]),
     }
     if preset == "she":
-        wp01 = expected_wp(lambda sd: fx.marginals(sd, 0, 0.0, 1.0), 2.0, cfg)
+        # W_0 and W_1 are the same bits at every depth
+        wp01 = expected_wp(
+            lambda sd: fx.marginals(sd, depth, 0.0, 1.0), 2.0, cfg
+        )
         summary["wp_01"] = {"estimate": wp01.mean,
                             "std_error": wp01.std_error, "n": wp01.n}
     files.append(_write_json(out_dir, "demo.json", summary))

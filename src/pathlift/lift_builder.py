@@ -33,7 +33,7 @@ from .path_norms import (
     _besov_energy,
     _grid_index,
     _holder_max,
-    _level_costs,
+    _level_cost,
     _PairCost,
     _pvar_dp,
     _sobolev_sum,
@@ -265,9 +265,9 @@ def build_shuffled_lift(mp: MeasurePathSample, seed: int) -> PathMeasure:
         raise ValueError("shuffled lift is a 1d construction")
     traj = mp.atoms[:, :, 0].T.copy()  # (N, K), writable
     n_atoms = traj.shape[0]
-    for i in range(1, traj.shape[1]):
-        perm = _rng.stream(seed, f"shuffle/{i}").permutation(n_atoms)
-        traj[:, i] = traj[perm, i]
+    names = (f"shuffle/{i}" for i in range(1, traj.shape[1]))
+    for i, gen in enumerate(_rng.streams(seed, names), start=1):
+        traj[:, i] = traj[gen.permutation(n_atoms), i]
     return PathMeasure(
         depth=mp.level,
         paths=traj[:, :, None],
@@ -448,9 +448,12 @@ def bound_factor(alpha: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class RefineTrackRow:
+    """Lift energy at level n; bound = bound_factor * marginal_energy."""
+
     n: int
     energy: float
     bound: float
+    marginal_energy: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -467,8 +470,8 @@ def refine_and_track(
 
     mp_provider(n) must sample the same underlying curve at level n. The
     reported bound is the geometric-tail factor times the besov energy of
-    the marginal curve at the finest level; a violated bound is flagged
-    on the row (``ok``), not raised.
+    the marginal curve at the finest level, which every row carries too;
+    a violated bound is flagged on the row (``ok``), not raised.
     """
     if spec.kind != "besov":
         raise ValueError("refinement tracking is defined for the besov energy")
@@ -481,10 +484,9 @@ def refine_and_track(
         rows.append((n, lift_energy(pi, spec)))
         if n == n_max:
             finest = pi
-    bound = bound_factor(spec.alpha, spec.p) * marginal_curve_energy(
-        finest, spec
-    )
-    return [RefineTrackRow(n=n, energy=e, bound=bound) for n, e in rows]
+    marg = marginal_curve_energy(finest, spec)
+    bound = bound_factor(spec.alpha, spec.p) * marg
+    return [RefineTrackRow(n, e, bound, marg) for n, e in rows]
 
 
 @dataclass(frozen=True)
@@ -516,8 +518,9 @@ def tightness_diagnostic(
     for pi in pis:
         x0_norms = np.linalg.norm(pi.paths[:, 0, :], axis=1)
         start_moment = max(start_moment, float(pi.weights @ x0_norms))
-        levels = _level_costs(_lift_cost(pi, p))
-        for m, moments in enumerate(levels):  # one moment per interval k
+        cost = _lift_cost(pi, p)
+        for m in range(pi.depth + 1):
+            moments = _level_cost(cost, m) @ cost.weights  # one per interval
             ratio = float(np.max(moments)) / (2.0 ** -m) ** (p * gamma)
             per_level[m] = max(per_level[m], ratio)
     return TightnessReport(

@@ -20,14 +20,13 @@ lifts and measure curves alike: the dyadic level walk, the Holder maximum,
 the Sobolev pair sum and the p-variation dynamic program. Each reads a
 pair cost between the K grid sites, |X_{j,n} - X_{i,n}|^p for each of N
 weighted atoms per site, reduces every atom on its own and applies the
-weights last: the energy is sum_n w_n E(atom n). Only the level walk,
-which is linear, contracts each level with the weights as it goes. A path
-is one atom of weight 1 and a lift is its paths with their weights, so a
-lift energy is the weighted sum of its path energies. A measure curve is
-one atom of weight 1 whose pair cost is W_p^p between slices i and j, so
-a curve energy is the same kernel run on that cost. The pairwise kernels
-run over row blocks of bounded size, so memory stays bounded at every
-grid size.
+weights last: the energy is sum_n w_n E(atom n). A path is one atom of
+weight 1 and a lift is its paths with their weights, so a lift energy is
+the weighted sum of its path energies. A measure curve is one atom of
+weight 1 whose pair cost is W_p^p between slices i and j, so a curve
+energy is the same kernel run on that cost. The pairwise kernels run
+over row blocks of bounded size, so memory stays bounded at every grid
+size.
 """
 
 from dataclasses import dataclass, field
@@ -177,14 +176,35 @@ def _pow_dist(diff: np.ndarray, p: float) -> np.ndarray:
     """|diff|^p, the Euclidean norm taken over the last (space) axis.
 
     diff is a temporary of the caller's: in d = 1 it is overwritten, so a
-    cost block allocates no second full-size array.
+    cost block allocates no second full-size array. An even integer
+    p >= 4 multiplies out the squared norm, a few ulp from np.power and
+    about four times faster; numpy fast-paths p = 1 and 2 itself, and
+    every other p stays on np.power.
     """
+    if p >= 4 and p % 2 == 0:
+        if diff.shape[-1] == 1:
+            sq = np.multiply(diff, diff, out=diff)[..., 0]
+        else:
+            sq = np.einsum("...d,...d->...", diff, diff)
+        return _int_power(sq, int(p) // 2)
     if diff.shape[-1] == 1:
         # |x| equals sqrt(x * x) bit for bit and skips the slow reduction
         dist = np.abs(diff, out=diff)[..., 0]
     else:
         dist = np.sqrt(np.einsum("...d,...d->...", diff, diff))
     return np.power(dist, p, out=dist)
+
+
+def _int_power(x: np.ndarray, n: int) -> np.ndarray:
+    """x^n for an integer n >= 1 by repeated squaring; x is overwritten."""
+    out = None
+    while True:
+        if n & 1:
+            if n == 1:
+                return x if out is None else np.multiply(out, x, out=out)
+            out = x.copy() if out is None else np.multiply(out, x, out=out)
+        n >>= 1
+        np.multiply(x, x, out=x)
 
 
 class _PairCost:
@@ -209,20 +229,19 @@ def _path_cost(values: np.ndarray, p: float) -> _PairCost:
     return _PairCost(values[:, None, :], np.ones(1), p)
 
 
-def _level_costs(cost):
-    """For m = 0..M, the weighted costs of the 2^m level-m intervals."""
-    depth = (cost.k - 1).bit_length() - 1
-    for m in range(depth + 1):
-        s = 2 ** (depth - m)
-        yield cost(slice(0, -1, s), slice(s, None, s)) @ cost.weights
+def _level_cost(cost, m: int) -> np.ndarray:
+    """The costs of the 2^m level-m intervals, shape (2^m, N)."""
+    s = (cost.k - 1) >> m
+    return cost(slice(0, -1, s), slice(s, None, s))
 
 
 def _besov_energy(cost, alpha: float, p: float) -> float:
-    """sum_m 2^{m(alpha p - 1)} sum_k cost(t_k^{(m)}, t_{k+1}^{(m)})."""
-    return sum(
-        2.0 ** (m * (alpha * p - 1)) * float(np.sum(level))
-        for m, level in enumerate(_level_costs(cost))
-    )
+    """w . sum_m 2^{m(alpha p - 1)} sum_k cost(t_k^{(m)}, t_{k+1}^{(m)})."""
+    total = np.zeros(cost.weights.size)
+    for m in range((cost.k - 1).bit_length()):  # m = 0..M
+        level = _level_cost(cost, m).sum(axis=0)
+        total += 2.0 ** (m * (alpha * p - 1)) * level
+    return float(cost.weights @ total)
 
 
 def _cost_blocks(cost):

@@ -83,12 +83,13 @@ def _bridge_values(seed, stream, depth, dim, count=None):
     (count independent paths sharing the stream family).
     """
     n = 1 if count is None else int(count)
+    levels = _rng.streams(seed, (f"{stream}/L{m}" for m in range(depth + 1)))
     values = np.zeros((n, 2, dim))
-    values[:, 1, :] = _rng.stream(seed, f"{stream}/L0").standard_normal((n, dim))
-    for m in range(1, depth + 1):
+    values[:, 1, :] = next(levels).standard_normal((n, dim))
+    for m, gen in enumerate(levels, start=1):
         prev = values
         k = prev.shape[1] - 1
-        z = _rng.stream(seed, f"{stream}/L{m}").standard_normal((n, k, dim))
+        z = gen.standard_normal((n, k, dim))
         # conditional midpoint: mean of the endpoints, variance dt/4
         mids = 0.5 * (prev[:, :-1] + prev[:, 1:]) + np.sqrt(2.0 ** -m / 2.0) * z
         nxt = np.empty((n, 2 * k + 1, dim))
@@ -223,9 +224,15 @@ def independent_particle_paths(
     empirical time-t marginal approximates N(W_t, t) as count grows; the
     coupling across times is far from monotone.
     """
+    return _independent_paths(scenario.common_path, seed2, count, zero_noise)
+
+
+def _independent_paths(
+    w: BrownianPath, seed2: int, count: int, zero_noise: bool = False
+) -> PathMeasure:
+    """``independent_particle_paths`` on the common noise W alone."""
     if count < 1:
         raise ValueError("count must be positive")
-    w = scenario.common_path
     b = _bridge_values(seed2, "B", w.depth, w.dim, count=count)
     if zero_noise:
         b = np.zeros_like(b)

@@ -4,13 +4,23 @@ These are the row loops, per-level walks, pair loops and the per-path
 lift loop that the library once ran for each input kind (paths, lifts,
 curves) before they became one set of blocked kernels in
 ``pathlift.path_norms``. Each restates its energy one row, level, pair or
-path at a time.
+path at a time. ``pow_dist_power`` is the pair cost |diff|^p as
+``np.power`` computes it for every p.
 """
 
 import numpy as np
 
 from pathlift import wasserstein_p_clouds
 from pathlift.lift_builder import _CurveCost
+
+
+def pow_dist_power(diff, p):
+    """|diff|^p over the last axis by np.power; diff is overwritten in d = 1."""
+    if diff.shape[-1] == 1:
+        dist = np.abs(diff, out=diff)[..., 0]
+    else:
+        dist = np.sqrt(np.einsum("...d,...d->...", diff, diff))
+    return np.power(dist, p, out=dist)
 
 
 def holder_rows(values, h, gamma):

@@ -21,7 +21,12 @@ from pathlift import (
     qm_to_csv,
     wasserstein_p,
 )
-from pathlift import _rng, cli
+from pathlift import (
+    NormSpec,
+    build_dyadic_lift,
+    stochastic_heat_scenario,
+)
+from pathlift import _rng, cli, lift_builder
 from pathlift.cli import main
 
 
@@ -268,6 +273,36 @@ def test_lift_she_builds_each_depth_once(tmp_path, capsys, monkeypatch):
     assert builds == Counter(range(6))
 
 
+def test_lift_prices_the_finest_marginal_curve_once(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    price = lift_builder.marginal_curve_energy
+
+    def counted(pi, spec):
+        calls.append(pi.depth)
+        return price(pi, spec)
+
+    # the CLI module may hold a name of its own for it
+    monkeypatch.setattr(lift_builder, "marginal_curve_energy", counted)
+    monkeypatch.setattr(cli, "marginal_curve_energy", counted, raising=False)
+    cfg = write_config(tmp_path, {
+        "fixture": "she", "depth": 4, "n_atoms": 8, "alpha": 0.3, "p": 4.0,
+        "seed": 2,
+    })
+    out = tmp_path / "o"
+    assert main(["lift", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == [4]
+    obj = json.loads((out / "lift.json").read_text())
+    finest = build_dyadic_lift(
+        stochastic_heat_scenario(2, 4, 8).measure_path, "quantile", 4
+    )
+    spec = NormSpec(kind="besov", p=4.0, alpha=0.3)
+    assert obj["marginal_energy"] == price(finest, spec)
+    for row in obj["levels"]:
+        assert row["bound"] == bound_factor(0.3, 4.0) * obj["marginal_energy"]
+
+
 def test_lift_unknown_fixture(tmp_path, capsys):
     cfg = write_config(tmp_path, {"fixture": "wave"})
     assert main(["lift", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -349,6 +384,53 @@ def test_demo_she_builds_each_scenario_at_most_twice(
     assert main(["demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(builds) == 5
     assert max(builds.values()) <= 2
+
+
+def count_she_builds(monkeypatch):
+    """Count the she scenarios and the W the CLI builds, by seed."""
+    builds = {"scenario": Counter(), "w": Counter()}
+    scenario, brownian = cli.stochastic_heat_scenario, cli.BrownianPath
+
+    def counted_scenario(seed, *args, **kwargs):
+        builds["scenario"][seed] += 1
+        return scenario(seed, *args, **kwargs)
+
+    def counted_w(seed, depth, **kwargs):
+        builds["w"][seed] += 1
+        return brownian(seed=seed, depth=depth, **kwargs)
+
+    monkeypatch.setattr(cli, "stochastic_heat_scenario", counted_scenario)
+    monkeypatch.setattr(cli, "BrownianPath", counted_w)
+    return builds
+
+
+def test_demo_she_builds_one_scenario_and_one_w_per_seed(
+    tmp_path, capsys, monkeypatch
+):
+    builds = count_she_builds(monkeypatch)
+    cfg = write_config(tmp_path, {
+        "preset": "she", "p": 4.0, "alpha": 0.3, "depth": 5,
+        "n_atoms": 8, "n_mc": 6, "paths_dump": 4, "count": 2, "seed": 3,
+    })
+    assert main(["demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    seeds = [_rng.derive_seed(3, i) for i in range(6)]
+    assert builds["scenario"] == Counter(seeds)
+    assert builds["w"] == Counter(seeds)
+
+
+def test_estimate_she_independent_lift_builds_only_w(
+    tmp_path, capsys, monkeypatch
+):
+    builds = count_she_builds(monkeypatch)
+    cfg = write_config(tmp_path, {
+        "target": "lift_energy", "lift": "independent", "fixture": "she",
+        "p": 4.0, "alpha": 0.3, "depth": 4, "n_atoms": 8, "n_mc": 4,
+        "count": 3, "seed": 2,
+    })
+    out = tmp_path / "o"
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+    assert not builds["scenario"]
+    assert builds["w"] == Counter(_rng.derive_seed(2, i) for i in range(4))
 
 
 def test_demo_preset_flag_and_validation(tmp_path, capsys):

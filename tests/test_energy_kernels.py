@@ -16,6 +16,7 @@ from kernel_oracles import (
     level_walk,
     lift_energy_loop,
     marginal_distances,
+    pow_dist_power,
     pvar_pull,
     sobolev_rows,
 )
@@ -104,6 +105,65 @@ def test_besov_matches_level_walk(depth, dim):
     assert besov_seminorm(path, 0.6, 3.0) ** 3.0 == pytest.approx(
         besov_walk(path.values[None], np.ones(1), 0.6, 3.0), rel=REL
     )
+
+
+def pow_cells(seed, dim):
+    """Pair differences over 60 orders of magnitude, with zero, 1e-80 and
+    1e80 cells (whose p-th powers underflow or overflow)."""
+    gen = np.random.default_rng(seed)
+    scale = np.exp(gen.uniform(-30.0, 30.0, (40, 9, 1)))
+    diff = gen.standard_normal((40, 9, dim)) * scale
+    diff[0] = 0.0
+    diff[1] = 1e-80
+    diff[2] = 1e80
+    diff[3, :, 0] = -1e-80
+    return diff
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+def test_pow_dist_squares_even_powers(p, dim):
+    diff = pow_cells(int(p) + 10 * dim, dim)
+    with np.errstate(over="ignore", under="ignore"):
+        got = path_norms._pow_dist(diff.copy(), p)
+        want = pow_dist_power(diff.copy(), p)
+    # zeros, underflows to zero and overflows to inf agree exactly
+    exact = (want == 0.0) | np.isinf(want)
+    assert exact.any() and not exact.all()
+    assert np.array_equal(got[exact], want[exact])
+    np.testing.assert_allclose(got[~exact], want[~exact], rtol=2e-15, atol=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, 1 / 0.3])
+def test_pow_dist_keeps_np_power_for_other_p(p, dim):
+    diff = pow_cells(dim, dim)
+    with np.errstate(over="ignore", under="ignore"):
+        got = path_norms._pow_dist(diff.copy(), p)
+        want = pow_dist_power(diff.copy(), p)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("depth,dim", SIZES)
+def test_one_atom_besov_energies_match_the_walks(depth, dim):
+    path = gaussian_path(50 + depth, depth, dim)
+    one = np.ones(1)
+    pi = PathMeasure(depth=depth, paths=path.values[None], weights=one)
+    for alpha, p in ((0.3, 4.0), (0.6, 2.0), (0.45, 2.5)):
+        want = besov_walk(path.values[None], one, alpha, p)
+        cost = path_norms._path_cost(path.values, p)
+        assert path_norms._besov_energy(cost, alpha, p) == pytest.approx(
+            want, rel=REL
+        )
+        spec = NormSpec(kind="besov", p=p, alpha=alpha)
+        assert lift_energy(pi, spec) == pytest.approx(want, rel=REL)
+    p, gamma = 2.5, 0.5
+    ratios = [
+        float(np.max(moments)) / (2.0 ** -m) ** (p * gamma)
+        for m, moments in enumerate(level_walk(pi.paths, one, p))
+    ]
+    report = tightness_diagnostic([pi], p, gamma)
+    np.testing.assert_allclose(report.level_ratios, ratios, rtol=REL)
 
 
 def test_embedding_report_at_depth_12_matches_loops():

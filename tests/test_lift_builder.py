@@ -33,6 +33,7 @@ from pathlift import (
     tightness_diagnostic,
     wasserstein_p,
 )
+from pathlift import _rng
 
 BASE = ndtri(midpoint_grid(16))
 
@@ -247,6 +248,16 @@ def test_shuffled_lift_is_seed_deterministic():
     c = build_shuffled_lift(mp, seed=4)
     assert np.array_equal(a.paths, b.paths)
     assert not np.array_equal(a.paths, c.paths)
+
+
+@pytest.mark.parametrize("depth,seed", [(0, 0), (3, 7), (8, 2 ** 64 - 1)])
+def test_shuffled_lift_matches_a_new_stream_per_slice(depth, seed):
+    mp = heat_sample(depth)
+    traj = mp.atoms[:, :, 0].T.copy()
+    for i in range(1, traj.shape[1]):
+        perm = _rng.stream(seed, f"shuffle/{i}").permutation(traj.shape[0])
+        traj[:, i] = traj[perm, i]
+    assert np.array_equal(build_shuffled_lift(mp, seed).paths[:, :, 0], traj)
 
 
 # ---------------------------------------------------------------------------

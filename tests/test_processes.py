@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from pathlift import (
@@ -38,7 +40,9 @@ from pathlift import (
     stochastic_heat_scenario,
     wasserstein_p,
 )
+from pathlift import _rng
 from pathlift.lift_builder import MeasurePathSample
+from pathlift.processes import _bridge_values
 
 
 def zero_coeffs():
@@ -104,6 +108,70 @@ def test_brownian_streams_are_independent_names():
     w = BrownianPath(seed=5, depth=3)
     bundle = brownian_bundle(seed=5, depth=3, count=1)
     assert not np.array_equal(bundle.paths[0], w.values)
+
+
+SEEDS = (0, 7, 2 ** 64 - 1)
+
+
+def bridge_per_stream(seed, stream, depth, dim, count=None):
+    """The bridge built with a new ``_rng.stream`` for every level."""
+    n = 1 if count is None else count
+    values = np.zeros((n, 2, dim))
+    values[:, 1, :] = _rng.stream(seed, f"{stream}/L0").standard_normal((n, dim))
+    for m in range(1, depth + 1):
+        k = values.shape[1] - 1
+        z = _rng.stream(seed, f"{stream}/L{m}").standard_normal((n, k, dim))
+        mids = (0.5 * (values[:, :-1] + values[:, 1:])
+                + np.sqrt(2.0 ** -m / 2.0) * z)
+        nxt = np.empty((n, 2 * k + 1, dim))
+        nxt[:, 0::2] = values
+        nxt[:, 1::2] = mids
+        values = nxt
+    return values[0] if count is None else values
+
+
+@pytest.mark.parametrize("count", [None, 8])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bridge_matches_a_new_stream_per_level(seed, dim, count):
+    for depth in range(13):
+        assert np.array_equal(
+            _bridge_values(seed, "W", depth, dim, count),
+            bridge_per_stream(seed, "W", depth, dim, count),
+        ), depth
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_streams_draw_what_stream_draws(seed):
+    names = ["W/L0", "W/L1", "shuffle/17", "B/L3", ""]
+    drawn = []
+    for gen, name in zip(_rng.streams(seed, names), names):
+        drawn.append((gen.standard_normal(5),
+                      gen.integers(0, 2 ** 31, size=3, dtype=np.uint32)))
+        # leaves half a 64-bit word buffered for the next uint32 draw
+        assert gen.bit_generator.state["has_uint32"] == 1
+    for (normals, ints), name in zip(drawn, names):
+        ref = _rng.stream(seed, name)
+        assert np.array_equal(normals, ref.standard_normal(5))
+        assert np.array_equal(
+            ints, ref.integers(0, 2 ** 31, size=3, dtype=np.uint32)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 64 - 1),
+    depth=st.integers(0, 9),
+    extra=st.integers(1, 4),
+    dim=st.integers(1, 2),
+    count=st.sampled_from([None, 3]),
+)
+def test_refining_a_bridge_keeps_its_coarse_values(
+    seed, depth, extra, dim, count
+):
+    coarse = _bridge_values(seed, "W", depth, dim, count)
+    fine = _bridge_values(seed, "W", depth + extra, dim, count)
+    assert np.array_equal(fine[..., :: 2 ** extra, :], coarse)
 
 
 def test_brownian_increment_statistics():
