@@ -1,39 +1,50 @@
 """The one CSV/JSON codec behind the public ``*_csv``/``*_json`` adapters.
 
 Tables are RFC 4180 CSV with CRLF line endings and one header row (the
-quantile file has none). ``csv.writer`` puts Python floats in shortest
-round-trip form, so a table read back is bit-identical to the array it
-was written from.
+quantile file has none), in the bytes of ``csv.writer``: a float cell is
+its ``repr`` (shortest round trip, so a table reads back bit-identical),
+an int or bool its ``str``, and a string is quoted only if it holds a
+comma, quote, CR or LF. Each value is formatted to a cell once.
 """
 
 import csv
 import itertools
 import json
 from collections.abc import Mapping
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
 _REQUIRED = object()
-_ROW_BLOCK = 4096  # rows that ``array_rows`` turns into Python floats at once
+_ROW_BLOCK = 4096  # rows formatted and written at once
+_QUOTED = frozenset(',"\r\n')  # a str cell holding one of these is quoted
 
 
-def write_table(f: TextIO, header, rows: Iterable) -> None:
-    """Write the header (unless None) and the rows, CRLF-terminated."""
-    writer = csv.writer(f, lineterminator="\r\n")
+def _cell(v) -> str:
+    """The cell ``csv.writer`` writes for a float, int, bool or str."""
+    if not isinstance(v, str):
+        return repr(v) if isinstance(v, float) else str(v)
+    return v if _QUOTED.isdisjoint(v) else '"' + v.replace('"', '""') + '"'
+
+
+def write_table(f: TextIO, header, rows: Iterable[Sequence[str]]) -> None:
+    """Write the header values (unless None), then rows of cell strings."""
     if header is not None:
-        writer.writerow(header)
-    writer.writerows(rows)
+        f.write(",".join(map(_cell, header)) + "\r\n")
+    rows = iter(rows)
+    while lines := [",".join(r) for r in itertools.islice(rows, _ROW_BLOCK)]:
+        f.write("\r\n".join(lines + [""]))
 
 
-def array_rows(*arrays: np.ndarray) -> Iterator[list]:
-    """The rows of 2d arrays side by side, as lists of Python floats.
+def array_rows(*arrays: np.ndarray) -> Iterator[Sequence[str]]:
+    """The rows of 2d arrays side by side, as ``repr`` cell strings.
 
     A block of _ROW_BLOCK rows is converted at a time, so a table writer
     holds one block of rows as Python objects, not every column.
     """
     for k in range(0, len(arrays[0]), _ROW_BLOCK):
-        yield from np.hstack([a[k : k + _ROW_BLOCK] for a in arrays]).tolist()
+        block = np.hstack([a[k : k + _ROW_BLOCK] for a in arrays])
+        yield from zip(*[map(repr, col) for col in block.T.tolist()])
 
 
 def read_table(f: TextIO, width: Optional[int] = None):

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng
-from ._codec import json_fields, write_table
+from ._codec import _cell, json_fields, write_table
 from .errors import MathPreconditionError
 from .lift_builder import (
     bound_factor,
@@ -128,6 +128,7 @@ def _write_json(out_dir, name, obj):
 
 
 def _write_csv(out_dir, name, header, rows):
+    rows = ([_cell(v) for v in row] for row in rows)
     return _write_file(out_dir, name, lambda f: write_table(f, header, rows))
 
 
@@ -530,10 +531,8 @@ def _cmd_sde(config, out_dir, seed, preset):
                 mask = times >= t0 - 1e-12
                 dev = float(np.max(np.abs(path[:, 0] - oracle)[mask]))
                 dev_rows.append([run_id, sd, q, dev])
-            for t, row in zip(times, path):
-                path_rows.append(
-                    [run_id, sd, q, float(t)] + [float(v) for v in row]
-                )
+            path_rows += ([run_id, sd, q, t, *row] for t, row in
+                          zip(times.tolist(), path.tolist()))
             run_id += 1
 
     files = [_write_csv(

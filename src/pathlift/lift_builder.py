@@ -19,13 +19,14 @@ one atom of weight 1 whose pair cost is W_p^p between slices, in place of
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import _rng
-from ._codec import grid_depth, json_fields, read_table, write_table
+from ._codec import _ROW_BLOCK, grid_depth, json_fields, read_table, write_table
 from .nu_transport import ParticleEnsemble
 from .path_norms import (
     DyadicPath,
@@ -557,9 +558,15 @@ def pm_from_json(obj) -> PathMeasure:
 def pm_to_csv(pi: PathMeasure, f: TextIO) -> None:
     """Long format: one row per (path, time), columns path_id, t, x_1..x_d."""
     header = ["path_id", "t"] + [f"x_{i + 1}" for i in range(pi.dim)]
-    times = pi.times().tolist()
+    times, blocks = pi.times(), range(0, pi.paths.shape[1], _ROW_BLOCK)
+    # cells go a block of times at a time; a grid of depth <= 12 (two
+    # blocks) has its time cells formatted once per file
+    time_cells = lru_cache(2)(
+        lambda k: list(map(repr, times[k : k + _ROW_BLOCK].tolist())))
     write_table(f, header, chain.from_iterable(
-        zip(repeat(j), times, *x.T.tolist()) for j, x in enumerate(pi.paths)
+        zip(repeat(str(j)), time_cells(k),
+            *[map(repr, c) for c in x[k : k + _ROW_BLOCK].T.tolist()])
+        for j, x in enumerate(pi.paths) for k in blocks
     ))
 
 

@@ -6,6 +6,10 @@ skipping and width checks, and the CLI formatted its own CSV rows. It now
 has one columnar codec in ``pathlift._codec``; these functions restate
 the per-type writers (whose bytes the codec must reproduce) and readers
 (whose arrays it must reproduce on well-formed files).
+
+The writers go through ``csv.writer`` with CRLF line ends and its
+default minimal quoting: that is the reference the codec's own
+string-joining writer must match byte for byte.
 """
 
 import csv

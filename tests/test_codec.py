@@ -1,6 +1,7 @@
 """The columnar CSV/JSON codec: bytes against the per-type oracles, exact
 round trips, and rejection of malformed tables and JSON fields."""
 
+import csv
 import io
 import json
 import tracemalloc
@@ -111,25 +112,40 @@ def test_writers_match_oracle_bytes_across_row_blocks():
     qm = QuantileMeasure(np.sort(edge_values(gen, 9000)))
     ens = ParticleEnsemble(labels=edge_values(gen, (4097, 1)),
                            positions=edge_values(gen, (4097, 1)))
+    # each path spans three blocks of grid times
+    pi = PathMeasure(13, edge_values(gen, (2, 2 ** 13 + 1, 2)), [0.5, 0.5])
     for obj, write, write_ref in (
         (path, path_to_csv, oracle.path_to_csv),
         (qm, qm_to_csv, oracle.qm_to_csv),
         (ens, ensemble_to_csv, oracle.ensemble_to_csv),
+        (pi, pm_to_csv, oracle.pm_to_csv),
     ):
         assert csv_bytes(write, obj) == csv_bytes(write_ref, obj)
+
+
+def peak_bytes(tmp_path, write, obj):
+    with open(tmp_path / "t.csv", "w", encoding="utf-8", newline="") as f:
+        tracemalloc.start()
+        try:
+            write(obj, f)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 def test_path_csv_writer_memory_is_bounded(tmp_path):
     # whole columns as Python lists took 16.9 MB at 2^18 rows
     path = DyadicPath(18, np.random.default_rng(0).standard_normal(2 ** 18 + 1))
-    with open(tmp_path / "p.csv", "w", encoding="utf-8", newline="") as f:
-        tracemalloc.start()
-        try:
-            path_to_csv(path, f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < 4_000_000
+    assert peak_bytes(tmp_path, path_to_csv, path) < 4_000_000
+
+
+@pytest.mark.parametrize("n_paths, depth", [(64, 12), (1, 18)])
+def test_pm_csv_writer_memory_is_bounded(tmp_path, n_paths, depth):
+    # 2^18 rows either way; a whole path as Python floats took 17 MB
+    shape = (n_paths, 2 ** depth + 1, 1)
+    paths = np.random.default_rng(1).standard_normal(shape)
+    pi = PathMeasure(depth, paths, np.full(n_paths, 1.0 / n_paths))
+    assert peak_bytes(tmp_path, pm_to_csv, pi) < 4_000_000
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -155,13 +171,22 @@ def test_json_readers_match_oracle(dim):
 
 
 def test_cli_table_matches_oracle_bytes(tmp_path):
-    header = ["name", "n", "x", "ok", "blank"]
+    header = ["name", "n", "x", "ok", 'odd, "head"']
     rows = [["a", 3, float(v), v > 0, ""] for v in EDGE]
     rows.append(["needs,quote", -1, 1e-7, True, ""])
+    for text in ['"', "\r", "\n", "a\r\nb", " padded ", 'say "hi"']:
+        rows.append([text, 2 ** 64, -0.0, False, text])
+    for x in [5e-324, 1e16, 1e-05]:
+        rows.append(["x", 0, x, True, "1.5"])
     _write_csv(tmp_path, "t.csv", header, rows)
     buf = io.StringIO()
     oracle.cli_csv(buf, header, rows)
     assert (tmp_path / "t.csv").read_bytes() == buf.getvalue().encode()
+    with open(tmp_path / "t.csv", encoding="utf-8", newline="") as f:
+        back = list(csv.reader(f))
+    written = [[v if isinstance(v, str) else repr(v) if isinstance(v, float)
+                else str(v) for v in row] for row in [header] + rows]
+    assert back == written
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,25 @@ class TestQuantileMeasure:
         with pytest.raises(ValueError):
             QuantileMeasure(np.array([0.0, np.inf]))
 
+    @pytest.mark.parametrize("q, what", [
+        ([0.0, np.nan, 1.0], "finite"),
+        ([np.nan], "finite"),
+        ([np.inf, 1.0], "finite"),
+        ([0.0, np.inf], "finite"),
+        ([-np.inf, 0.0], "finite"),
+        ([0.0, -np.inf], "finite"),
+        ([-np.inf, 0.0, 1.0, 2.0], "finite"),
+        ([-np.inf, -np.inf], "finite"),
+        ([0.0, 2.0, 1.0, 3.0], "nondecreasing"),
+    ])
+    def test_names_the_broken_rule(self, q, what):
+        with pytest.raises(ValueError, match=f"quantiles must be {what}$"):
+            QuantileMeasure(np.array(q))
+
+    def test_accepts_the_widest_finite_range(self):
+        m = QuantileMeasure(np.array([-1e308, 1e308]))
+        assert m.quantiles.tolist() == [-1e308, 1e308]
+
     def test_rejects_empty_and_2d(self):
         with pytest.raises(ValueError):
             QuantileMeasure(np.array([]))
