@@ -512,7 +512,7 @@ def _cmd_sde(config, out_dir, seed, preset):
         level = substeps.bit_length() - 1
         k0 = _dyadic_index(t0, level, "t0")
         c = gaussian_quantile(quantiles)
-    path_rows, dev_rows, run_id = [], [], 0
+    runs, dev_rows, run_id = [], [], 0
     for i in range(n_seeds):
         sd = _rng.derive_seed(seed, i)
         w = BrownianPath(seed=sd, depth=depth, dim=x0.size)
@@ -531,10 +531,11 @@ def _cmd_sde(config, out_dir, seed, preset):
                 mask = times >= t0 - 1e-12
                 dev = float(np.max(np.abs(path[:, 0] - oracle)[mask]))
                 dev_rows.append([run_id, sd, q, dev])
-            path_rows += ([run_id, sd, q, t, *row] for t, row in
-                          zip(times.tolist(), path.tolist()))
+            runs.append((run_id, sd, q, times, path))
             run_id += 1
 
+    path_rows = ([r, sd, q, t, *row] for r, sd, q, times, path in runs
+                 for t, row in zip(times.tolist(), path.tolist()))
     files = [_write_csv(
         out_dir, "sde_paths.csv",
         ["run_id", "seed", "q", "t"] + [f"x_{i + 1}" for i in range(x0.size)],

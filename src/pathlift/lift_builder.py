@@ -31,10 +31,10 @@ from .nu_transport import ParticleEnsemble
 from .path_norms import (
     DyadicPath,
     NormSpec,
-    _besov_energy,
+    _besov_sums,
     _grid_index,
     _holder_max,
-    _level_cost,
+    _level_blocks,
     _PairCost,
     _pvar_dp,
     _sobolev_sum,
@@ -154,8 +154,8 @@ class MeasurePathSample:
     atoms (K, N, d) holds the N equal-weight atoms of slice k in row k; a
     (K, N) array is read as d = 1. labels is None for a quantile curve
     (d = 1, rows sorted) or one (N, d) label array shared by every slice
-    of an ensemble curve. Validated once, naming the first bad slice; the
-    curve keeps read-only views, so its lifts share them without a copy.
+    of an ensemble curve. Validated once with no float copy, naming the
+    first bad slice; it keeps read-only views, which its lifts share.
     """
 
     times: np.ndarray
@@ -181,7 +181,7 @@ class MeasurePathSample:
         if labels is None:
             if atoms.shape[2] != 1:
                 raise ValueError("a quantile curve is one-dimensional")
-            unsorted = (np.diff(atoms[:, :, 0], axis=1) < 0).any(axis=1)
+            unsorted = (atoms[:, 1:, 0] < atoms[:, :-1, 0]).any(axis=1)
             if unsorted.any():
                 where = _at(times, np.argmax(unsorted))
                 raise ValueError(f"{where}: quantiles must be nondecreasing")
@@ -346,7 +346,7 @@ def _energy(cost: _PairCost, spec: NormSpec) -> float:
     """
     h = 1.0 / (cost.k - 1)
     if spec.kind == "besov":
-        return _besov_energy(cost, spec.alpha, spec.p)
+        return float(cost.weights @ _besov_sums(cost, spec.alpha, spec.p))
     if spec.kind == "holder":
         return _holder_max(cost, h, (spec.gamma * spec.p,))[0]
     if spec.kind == "pvar":
@@ -521,8 +521,8 @@ def tightness_diagnostic(
         start_moment = max(start_moment, float(pi.weights @ x0_norms))
         cost = _lift_cost(pi, p)
         for m in range(pi.depth + 1):
-            moments = _level_cost(cost, m) @ cost.weights  # one per interval
-            ratio = float(np.max(moments)) / (2.0 ** -m) ** (p * gamma)
+            top = max(np.max(c @ cost.weights) for c in _level_blocks(cost, m))
+            ratio = float(top) / (2.0 ** -m) ** (p * gamma)
             per_level[m] = max(per_level[m], ratio)
     return TightnessReport(
         sup_ratio=float(per_level.max()),

@@ -24,9 +24,9 @@ weights last: the energy is sum_n w_n E(atom n). A path is one atom of
 weight 1 and a lift is its paths with their weights, so a lift energy is
 the weighted sum of its path energies. A measure curve is one atom of
 weight 1 whose pair cost is W_p^p between slices i and j, so a curve
-energy is the same kernel run on that cost. The pairwise kernels run
-over row blocks of bounded size, so memory stays bounded at every grid
-size.
+energy is the same kernel run on that cost. The pairwise kernels and the
+level walk run over row blocks of bounded size, so memory stays bounded at
+every grid size and a freed block stays under the heap's trim threshold.
 """
 
 from dataclasses import dataclass, field
@@ -165,10 +165,10 @@ class NormSpec:
 # ---------------------------------------------------------------------------
 # energy kernels (see the module docstring)
 
-# cells (rows x columns x atom coordinates) of one pairwise cost block. On
-# a 2-core Xeon with 2 MiB L2 per core the path-kernels benchmark operation
-# took 18.8 ms of CPU time at 2^14 and 2^15 cells, 27.4 ms at 2^16 (medians
-# of 60 interleaved runs).
+# cells (rows x columns x atom coordinates) of one pair or level cost block.
+# On a 2-core Xeon with 2 MiB L2 per core path-kernels took 18.8 ms of CPU
+# time at 2^14 and 2^15 cells, 27.4 ms at 2^16 (60 interleaved runs). A freed
+# 256 KiB block stays under glibc's heap trim threshold; a 2 MiB one did not.
 _BLOCK_CELLS = 2 ** 15
 
 
@@ -229,19 +229,40 @@ def _path_cost(values: np.ndarray, p: float) -> _PairCost:
     return _PairCost(values[:, None, :], np.ones(1), p)
 
 
-def _level_cost(cost, m: int) -> np.ndarray:
-    """The costs of the 2^m level-m intervals, shape (2^m, N)."""
+def _level_blocks(cost, m: int):
+    """Level-m interval costs cost(t_k, t_{k+1}) in fresh row blocks of at
+    most _BLOCK_CELLS cells; a power-of-two row count splits a level evenly
+    and groups a curve's product over the atoms as one call over it would."""
     s = (cost.k - 1) >> m
-    return cost(slice(0, -1, s), slice(s, None, s))
+    rows = 1 << max(0, (_BLOCK_CELLS // cost.atoms[0].size).bit_length() - 1)
+    step = min(cost.k - 1, s * rows)
+    for i0 in range(0, cost.k - 1, step):
+        yield cost(slice(i0, i0 + step, s), slice(i0 + s, i0 + step + s, s))
 
 
-def _besov_energy(cost, alpha: float, p: float) -> float:
-    """w . sum_m 2^{m(alpha p - 1)} sum_k cost(t_k^{(m)}, t_{k+1}^{(m)})."""
-    total = np.zeros(cost.weights.size)
+def _besov_sums(cost, alpha: float, p: float) -> np.ndarray:
+    """Per column, sum_m 2^{m(alpha p - 1)} sum_k cost(t_k^{(m)}, t_{k+1}^{(m)}).
+
+    Each level adds up as numpy adds a whole level: the rows of atoms stored
+    site by site in turn (the sum so far goes into the next block's first
+    row), one column or paths stored one by one pairwise (a column's blocks
+    are joined; such paths go a group at a time, a level in one block).
+    """
+    n, g = cost.weights.size, max(1, _BLOCK_CELLS // cost.atoms[:, 0].size)
+    if g < n and cost.atoms.strides[0] < cost.atoms.strides[1]:
+        return np.concatenate([_besov_sums(_PairCost(
+            cost.atoms[:, i : i + g], cost.weights[i : i + g], cost.p),
+            alpha, p) for i in range(0, n, g)])
+    total = np.zeros(n)
     for m in range((cost.k - 1).bit_length()):  # m = 0..M
-        level = _level_cost(cost, m).sum(axis=0)
-        total += 2.0 ** (m * (alpha * p - 1)) * level
-    return float(cost.weights @ total)
+        parts = []
+        for c in _level_blocks(cost, m):
+            if parts and n > 1:
+                c[0] += parts.pop().sum(axis=0)
+            parts.append(c)
+        level = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        total += 2.0 ** (m * (alpha * p - 1)) * level.sum(axis=0)
+    return total
 
 
 def _cost_blocks(cost):
@@ -260,7 +281,7 @@ def _cost_blocks(cost):
 
 
 def _gap_weighted(cost, h: float, expos):
-    """Per row block, cost(i, j) / (h (j - i))^expo for each exponent.
+    """Per row block, cost(i, j) / (h (j - i))^expo per exponent, last in place.
 
     The gap of a cell depends on its offset j - i alone, so one table per
     exponent serves every block as a strided view; its zeros at offsets
@@ -272,10 +293,9 @@ def _gap_weighted(cost, h: float, expos):
         for e in expos
     ]
     for _, c in _cost_blocks(cost):
-        yield [
-            c * as_strided(t[k - 1 :], c.shape, (-t.itemsize, t.itemsize, 0))
-            for t in tables
-        ]
+        gaps = [as_strided(t[k - 1 :], c.shape, (-t.itemsize, t.itemsize, 0))
+                for t in tables]
+        yield [c * g for g in gaps[:-1]] + [np.multiply(c, gaps[-1], out=c)]
 
 
 def _holder_max(cost, h: float, expos) -> list:
@@ -376,7 +396,7 @@ def besov_seminorm(path: DyadicPath, alpha: float, p: float) -> float:
         raise ValueError("p must be >= 1")
     if path.horizon != 1.0:
         raise ValueError("besov seminorm requires horizon 1")
-    return _besov_energy(_path_cost(path.values, p), alpha, p) ** (1.0 / p)
+    return float(_besov_sums(_path_cost(path.values, p), alpha, p)[0]) ** (1 / p)
 
 
 def _fs_energy(path: DyadicPath, alpha: float, p: float) -> float:

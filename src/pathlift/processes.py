@@ -184,18 +184,22 @@ def stochastic_heat_scenario(
     """Sample one scenario of the randomly forced heat flow.
 
     The common noise W is drawn at the requested depth and the marginals
-    are N(W_t, t), one (K, n) quantile array built in one broadcast: atom
-    j of slice k sits at W_{t_k} + sqrt(t_k) * ndtri(u_j). With
+    are N(W_t, t), one (K, n) quantile array (``_she_atoms``): atom j of
+    slice k sits at W_{t_k} + sqrt(t_k) * ndtri(u_j). With
     ``with_lift`` the quantile lift (a view of that array) is attached.
     """
     w = BrownianPath(seed=seed, depth=depth)
-    c = ndtri(midpoint_grid(n))
-    times = w.times()
-    mp = MeasurePathSample(times, w.values + np.sqrt(times)[:, None] * c)
+    mp = MeasurePathSample(w.times(), _she_atoms(w, n))
     lift = build_dyadic_lift(mp, "quantile", depth) if with_lift else None
     return ScenarioSample(
         seed=seed, common_path=w, measure_path=mp, lift=lift
     )
+
+
+def _she_atoms(w: BrownianPath, n: int) -> np.ndarray:
+    """The (K, n) atoms W_{t_k} + sqrt(t_k) ndtri(u_j), W added in place."""
+    atoms = np.sqrt(w.times())[:, None] * ndtri(midpoint_grid(n))
+    return np.add(atoms, w.values, out=atoms)
 
 
 def brownian_bundle(
@@ -257,9 +261,7 @@ def quantile_particle_paths(
         raise ValueError("quantile representation is one-dimensional")
     if n is None:
         n = scenario.measure_path.atoms.shape[1]
-    times = w.times()
-    atoms = w.values + np.sqrt(times)[:, None] * ndtri(midpoint_grid(n))
-    curve = MeasurePathSample(times, atoms)
+    curve = MeasurePathSample(w.times(), _she_atoms(w, n))
     return build_dyadic_lift(curve, "quantile", w.depth)
 
 

@@ -5,7 +5,9 @@ lift loop that the library once ran for each input kind (paths, lifts,
 curves) before they became one set of blocked kernels in
 ``pathlift.path_norms``. Each restates its energy one row, level, pair or
 path at a time. ``pow_dist_power`` is the pair cost |diff|^p as
-``np.power`` computes it for every p.
+``np.power`` computes it for every p. ``level_cost`` and ``besov_levels``
+are the level walk on a pair cost as it ran before levels came in row
+blocks: one array per level, summed whole.
 """
 
 import numpy as np
@@ -73,6 +75,20 @@ def level_walk(paths, weights, p):
         dist = np.sqrt(np.einsum("jkd,jkd->jk", diff, diff))
         out.append(weights @ dist ** p)
     return out
+
+
+def level_cost(cost, m):
+    """The costs of the 2^m level-m intervals in one array, shape (2^m, N)."""
+    s = (cost.k - 1) >> m
+    return cost(slice(0, -1, s), slice(s, None, s))
+
+
+def besov_levels(cost, alpha, p):
+    """w . sum_m 2^{m(alpha p - 1)} sum_k cost, each level summed whole."""
+    total = np.zeros(cost.weights.size)
+    for m in range((cost.k - 1).bit_length()):
+        total += 2.0 ** (m * (alpha * p - 1)) * level_cost(cost, m).sum(axis=0)
+    return float(cost.weights @ total)
 
 
 def besov_walk(paths, weights, alpha, p):

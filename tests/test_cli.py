@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -524,6 +525,23 @@ def test_sde_form2_stays_on_the_quantile_curve(tmp_path, capsys):
     dev_rows = read_rows(out / "sde_deviation.csv")
     assert len(dev_rows) == 1
     assert float(dev_rows[0]["max_deviation"]) == obj["max_deviation"]
+
+
+def test_sde_streams_its_paths_file(tmp_path, capsys):
+    # every row kept as a Python list until the end peaked at 9.9 MB here
+    cfg = write_config(tmp_path, {
+        "preset": "she-form2", "depth": 12, "n_seeds": 4, "seed": 7,
+    })
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["sde", "--config", cfg, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (out / "sde_paths.csv").stat().st_size
+    assert size > 2_500_000
+    assert peak < size
 
 
 def test_sde_degenerate_preset_exits_3(tmp_path, capsys):

@@ -2,17 +2,22 @@
 
 Sizes run from a single cell to a depth-12 path (K = 4097), so the pair
 kernels cross many row-block boundaries; the loops live in
-``kernel_oracles``.
+``kernel_oracles``. The last tests pin how little memory the Monte Carlo
+path allocates, with tracemalloc.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kernel_oracles import (
     CloudCostLoop,
+    besov_levels,
     besov_walk,
     curve_energy_pairs,
     holder_rows,
+    level_cost,
     level_walk,
     lift_energy_loop,
     marginal_distances,
@@ -26,6 +31,7 @@ from pathlift import (
     PathMeasure,
     besov_seminorm,
     build_dyadic_lift,
+    build_shuffled_lift,
     curve_besov_energy,
     curve_energy,
     embedding_report,
@@ -38,7 +44,7 @@ from pathlift import (
     tightness_diagnostic,
 )
 from pathlift import path_norms
-from pathlift.lift_builder import _CloudCost, _energy
+from pathlift.lift_builder import _CloudCost, _CurveCost, _energy, _lift_cost
 
 REL = 1e-12
 
@@ -152,7 +158,7 @@ def test_one_atom_besov_energies_match_the_walks(depth, dim):
     for alpha, p in ((0.3, 4.0), (0.6, 2.0), (0.45, 2.5)):
         want = besov_walk(path.values[None], one, alpha, p)
         cost = path_norms._path_cost(path.values, p)
-        assert path_norms._besov_energy(cost, alpha, p) == pytest.approx(
+        assert path_norms._besov_sums(cost, alpha, p)[0] == pytest.approx(
             want, rel=REL
         )
         spec = NormSpec(kind="besov", p=p, alpha=alpha)
@@ -317,3 +323,129 @@ def test_tightness_matches_level_walk():
             per_level[m] = max(per_level[m], ratio)
     np.testing.assert_allclose(report.level_ratios, per_level, rtol=REL)
     assert report.sup_ratio == pytest.approx(per_level.max(), rel=REL)
+
+
+# (atoms N, dim d, depth): levels of 16 blocks of 16 rows; of up to 16
+# blocks of 32 rows (46 rows would fit, a power of two is kept); no split
+BLOCK_SHAPES = [(1000, 2, 8), (700, 1, 9), (3, 1, 10)]
+
+
+def level_costs(n, dim, depth, seed):
+    """Pair costs whose level blocks the besov sum joins in each way.
+
+    A lift stored site by site (as a quantile lift views its curve), the
+    same lift stored path by path (as a sampled lift is), and in d = 1
+    the one-column W_p^p cost of a curve.
+    """
+    gen = np.random.default_rng(seed)
+    atoms = gen.standard_normal((2 ** depth + 1, n, dim))
+    weights = gen.uniform(0.1, 1.0, n)
+    weights /= weights.sum()
+    by_site = PathMeasure(depth, atoms.transpose(1, 0, 2), weights)
+    by_path = PathMeasure(depth, np.ascontiguousarray(by_site.paths), weights)
+    costs = {"by_site": by_site, "by_path": by_path}
+    if dim == 1:
+        costs["curve"] = np.sort(atoms, axis=1)
+    return costs
+
+
+def as_cost(x, p):
+    return _lift_cost(x, p) if isinstance(x, PathMeasure) else _CurveCost(x, p)
+
+
+def block_rows(cost):
+    return max(1, path_norms._BLOCK_CELLS // cost.atoms[0].size)
+
+
+def test_block_shapes_split_some_levels_into_many_blocks():
+    blocks = []
+    for n, dim, depth in BLOCK_SHAPES:
+        cost = as_cost(level_costs(n, dim, depth, 0)["by_site"], 2.0)
+        blocks += [len(list(path_norms._level_blocks(cost, m)))
+                   for m in range(depth + 1)]
+    assert {1, 2, 16} <= set(blocks)
+
+
+@pytest.mark.parametrize("n,dim,depth", BLOCK_SHAPES)
+def test_level_blocks_are_the_whole_level_in_order(n, dim, depth):
+    for name, x in level_costs(n, dim, depth, n + depth).items():
+        cost = as_cost(x, 3.0)
+        for m in range(depth + 1):
+            blocks = list(path_norms._level_blocks(cost, m))
+            # equal power-of-two blocks, at most _BLOCK_CELLS cells each
+            assert len({len(c) for c in blocks}) == 1, name
+            assert len(blocks[0]) & (len(blocks[0]) - 1) == 0, name
+            assert len(blocks[0]) <= block_rows(cost), name
+            assert np.array_equal(np.concatenate(blocks), level_cost(cost, m))
+
+
+@pytest.mark.parametrize("n,dim,depth", BLOCK_SHAPES)
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_blocked_besov_energy_matches_whole_levels(n, dim, depth, p):
+    # each level adds up bit for bit as the whole-level sum did, whether its
+    # rows are folded in order (by_site) or its blocks joined (by_path, curve)
+    for name, x in level_costs(n, dim, depth, 7 * n + depth).items():
+        cost = as_cost(x, p)
+        got = float(cost.weights @ path_norms._besov_sums(cost, 0.3, p))
+        assert got == besov_levels(cost, 0.3, p), name
+        if name != "curve":
+            assert got == pytest.approx(
+                besov_walk(x.paths, x.weights, 0.3, p), rel=REL
+            )
+
+
+@pytest.mark.parametrize("n,dim,depth", BLOCK_SHAPES)
+def test_blocked_tightness_matches_whole_levels(n, dim, depth):
+    p, gamma = 2.5, 0.5
+    for name, pi in level_costs(n, dim, depth, n).items():
+        if name == "curve":
+            continue
+        cost = _lift_cost(pi, p)
+        whole = [float(np.max(level_cost(cost, m) @ pi.weights))
+                 / (2.0 ** -m) ** (p * gamma) for m in range(depth + 1)]
+        walk = [float(np.max(moments)) / (2.0 ** -m) ** (p * gamma)
+                for m, moments in enumerate(level_walk(pi.paths, pi.weights, p))]
+        ratios = tightness_diagnostic([pi], p, gamma).level_ratios
+        assert list(ratios) == whole
+        np.testing.assert_allclose(ratios, walk, rtol=REL)
+
+
+def test_she_mc_energies_match_whole_levels_exactly():
+    # the she-mc shape: 257 slices of 1024 atoms, p = 4
+    scn = stochastic_heat_scenario(21, 8, 1024, with_lift=True)
+    curve = _CurveCost(scn.measure_path.atoms, 4.0)
+    lift = _lift_cost(scn.lift, 4.0)
+    spec = NormSpec(kind="besov", p=4.0, alpha=0.3)
+    assert curve_besov_energy(scn.measure_path, 0.3, 4.0) == besov_levels(
+        curve, 0.3, 4.0)
+    assert lift_energy(scn.lift, spec) == besov_levels(lift, 0.3, 4.0)
+
+
+def peak_bytes(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_she_scenario_allocates_its_atoms_about_once():
+    # W + sqrt(t) c as two full-size arrays peaked at 2.1x the atoms
+    scn = stochastic_heat_scenario(5, 8, 1024, with_lift=True)
+    nbytes = scn.measure_path.atoms.nbytes
+    peak = peak_bytes(stochastic_heat_scenario, 5, 8, 1024, True)
+    assert peak < 1.5 * nbytes
+
+
+def test_besov_energies_allocate_level_blocks_not_levels():
+    # a whole depth-8 level of 1024 atoms peaked at 1.0x the atoms; the
+    # shuffled lift stores its paths one by one
+    scn = stochastic_heat_scenario(5, 8, 1024, with_lift=True)
+    nbytes = scn.measure_path.atoms.nbytes
+    spec = NormSpec(kind="besov", p=4.0, alpha=0.3)
+    assert peak_bytes(curve_besov_energy, scn.measure_path, 0.3, 4.0) < (
+        0.5 * nbytes)
+    assert peak_bytes(lift_energy, scn.lift, spec) < 0.5 * nbytes
+    shuffled = build_shuffled_lift(scn.measure_path, 6)
+    assert peak_bytes(lift_energy, shuffled, spec) < 0.5 * nbytes

@@ -141,6 +141,13 @@ class TestMeasurePathSample:
         with pytest.raises(ValueError, match=r"slice k=3 \(t=0\.75\).*nondecreasing"):
             MeasurePathSample(np.linspace(0.0, 1.0, 5), atoms)
 
+    def test_ties_pass_and_the_first_unsorted_row_is_named(self):
+        atoms = np.tile([0.0, 1.0, 1.0, 2.0], (5, 1))
+        MeasurePathSample(np.linspace(0.0, 1.0, 5), atoms)
+        atoms[[1, 3], 3] = 0.5
+        with pytest.raises(ValueError, match=r"slice k=1 \(t=0\.25\)"):
+            MeasurePathSample(np.linspace(0.0, 1.0, 5), atoms)
+
     def test_non_finite_atom_names_its_slice(self):
         atoms = np.tile(np.arange(4.0), (5, 1))
         atoms[2, 0] = -np.inf
