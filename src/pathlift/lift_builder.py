@@ -29,6 +29,7 @@ from . import _rng
 from ._codec import _ROW_BLOCK, grid_depth, json_fields, read_table, write_table
 from .nu_transport import ParticleEnsemble
 from .path_norms import (
+    _BLOCK_CELLS,
     DyadicPath,
     NormSpec,
     _besov_sums,
@@ -307,6 +308,17 @@ class _CurveCost(_PairCost):
 
     def __call__(self, i, j) -> np.ndarray:
         return (super().__call__(i, j) @ self.atom_weights)[..., None]
+
+    def offset_blocks(self):
+        # one offset row a block, from __call__ on runs of at most
+        # _BLOCK_CELLS cells split at the wrap K - o, each pair as i < j
+        k, step = self.k, max(1, _BLOCK_CELLS // self.atoms[0].size)
+        for o in range(1, k // 2 + 1):
+            cuts = sorted({*range(0, k, step), k - o, k})
+            runs = [self(slice(a, b), slice(a + o, b + o)) if b <= k - o else
+                    self(slice(a + o - k, b + o - k), slice(a, b))
+                    for a, b in zip(cuts, cuts[1:])]
+            yield 0, o, np.concatenate(runs).reshape(1, 1, k)
 
 
 class _CloudCost(_CurveCost):

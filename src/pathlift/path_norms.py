@@ -24,9 +24,9 @@ weights last: the energy is sum_n w_n E(atom n). A path is one atom of
 weight 1 and a lift is its paths with their weights, so a lift energy is
 the weighted sum of its path energies. A measure curve is one atom of
 weight 1 whose pair cost is W_p^p between slices i and j, so a curve
-energy is the same kernel run on that cost. The pairwise kernels and the
-level walk run over row blocks of bounded size, so memory stays bounded at
-every grid size and a freed block stays under the heap's trim threshold.
+energy is the same kernel run on that cost. Holder and Sobolev reduce by
+offset j - i, p-variation by rows, in blocks of bounded size, so memory
+stays bounded and a freed block stays under the heap's trim threshold.
 """
 
 from dataclasses import dataclass, field
@@ -178,8 +178,8 @@ def _pow_dist(diff: np.ndarray, p: float) -> np.ndarray:
     diff is a temporary of the caller's: in d = 1 it is overwritten, so a
     cost block allocates no second full-size array. An even integer
     p >= 4 multiplies out the squared norm, a few ulp from np.power and
-    about four times faster; numpy fast-paths p = 1 and 2 itself, and
-    every other p stays on np.power.
+    about four times faster; p = 1 and 2 skip np.power's pass (x * x is
+    twice as fast), and every other p stays on np.power.
     """
     if p >= 4 and p % 2 == 0:
         if diff.shape[-1] == 1:
@@ -192,6 +192,10 @@ def _pow_dist(diff: np.ndarray, p: float) -> np.ndarray:
         dist = np.abs(diff, out=diff)[..., 0]
     else:
         dist = np.sqrt(np.einsum("...d,...d->...", diff, diff))
+    if p == 1:
+        return dist
+    if p == 2:
+        return np.multiply(dist, dist, out=dist)
     return np.power(dist, p, out=dist)
 
 
@@ -222,6 +226,23 @@ class _PairCost:
 
     def __call__(self, i, j) -> np.ndarray:
         return _pow_dist(self.atoms[j] - self.atoms[i], self.p)
+
+    def offset_blocks(self):
+        """Yields (n, o, c), c[q, r, i] = cost(i, (i + o + r) mod K)[n + q],
+        rows 1..K//2 of circular offsets in blocks of at most _BLOCK_CELLS
+        cells; a cost that overrides __call__ builds them from its cells."""
+        sites, k, half = self.atoms.transpose(1, 0, 2), self.k, self.k // 2
+        g = min(sites.shape[0], max(1, _BLOCK_CELLS // sites[0].size))
+        rows = max(1, _BLOCK_CELLS // (g * sites[0].size))
+        for n in range(0, sites.shape[0], g):
+            # the run in C order, then its first K//2 sites again
+            run = np.ascontiguousarray(sites[n : n + g])
+            x = np.concatenate([run, run[:, :half]], axis=1)
+            ahead = as_strided(x[:, 1:], x.shape[:1] + (half, k) + x.shape[2:],
+                               x.strides[:2] + x.strides[1:])
+            for o in range(1, half + 1, rows):
+                diff = ahead[:, o - 1 : o - 1 + rows] - x[:, None, :k]
+                yield n, o, _pow_dist(diff, self.p)
 
 
 def _path_cost(values: np.ndarray, p: float) -> _PairCost:
@@ -270,7 +291,7 @@ def _cost_blocks(cost):
 
     Yields (i0, c) with c[r, s] = cost(i0 + r, i0 + s) for a run of rows
     and every column from i0 on, at most _BLOCK_CELLS cells a block (at
-    least one row). Cells with s <= r are never read by the kernels.
+    least one row). Cells with s <= r are never read by the p-variation DP.
     """
     i0 = 0
     while i0 < cost.k - 1:
@@ -280,31 +301,38 @@ def _cost_blocks(cost):
         i0 = i1
 
 
-def _gap_weighted(cost, h: float, expos):
-    """Per row block, cost(i, j) / (h (j - i))^expo per exponent, last in place.
+def _offset_reduce(cost, ufunc) -> tuple:
+    """ufunc.reduce of cost(i, j) over the pairs of each offset j - i.
 
-    The gap of a cell depends on its offset j - i alone, so one table per
-    exponent serves every block as a strided view; its zeros at offsets
-    <= 0 blank the cells no kernel may read.
+    Row o of an offset block holds cost(i, (i + o) mod K) for every i: its
+    first K - o cells are the pairs at offset o, the other o those at K - o
+    (the cost is symmetric), so rows 1..K//2 hold every pair once (row K/2
+    of an even K twice, kept once). Returns (m, offs): m[n, t] reduces
+    column n at offset offs[t].
     """
-    k = cost.k
-    tables = [
-        np.concatenate([np.zeros(k), (h * np.arange(1, k)) ** -e])
-        for e in expos
-    ]
-    for _, c in _cost_blocks(cost):
-        gaps = [as_strided(t[k - 1 :], c.shape, (-t.itemsize, t.itemsize, 0))
-                for t in tables]
-        yield [c * g for g in gaps[:-1]] + [np.multiply(c, gaps[-1], out=c)]
+    k, half = cost.k, cost.k // 2
+    m = np.empty((cost.weights.size, 2 * half))
+    starts = {}  # per block height: where rows and, at o = 0, wraps start
+    for n, o, c in cost.offset_blocks():
+        g, r = c.shape[:2]
+        if r not in starts:
+            starts[r] = np.array([(k * i, k * i + k - i) for i in range(r)])
+        ufunc.reduceat(c.reshape(g, -1), (starts[r] - (0, o)).ravel(), axis=1,
+                       out=m[n : n + g, 2 * o - 2 : 2 * (o + r) - 2])
+    offs = np.arange(1, half + 1)
+    return m[:, : k - 1], np.stack([offs, k - offs], axis=1).ravel()[: k - 1]
 
 
 def _holder_max(cost, h: float, expos) -> list:
-    """w . max_{i<j} cost(i, j) / (h (j - i))^expo, one per exponent."""
-    best = [np.zeros(cost.weights.size)] * len(expos)
-    for block in _gap_weighted(cost, h, expos):
-        best = [np.maximum(b, q.max(axis=(0, 1)))
-                for b, q in zip(best, block)]
-    return [float(cost.weights @ b) for b in best]
+    """w . max_{i<j} cost(i, j) / (h (j - i))^expo, one per exponent.
+
+    Each offset's maximum is weighted once: max fl(g c_i) = fl(g max c_i).
+    """
+    m, offs = _offset_reduce(cost, np.maximum)
+    gaps = [(h * offs) ** -e for e in expos]
+    quots = [m * g for g in gaps[:-1]] + [np.multiply(m, gaps[-1], out=m)]
+    return [float(cost.weights @ np.max(q, axis=1, initial=0.0))
+            for q in quots]
 
 
 def _sobolev_sum(cost, h: float, alpha: float) -> float:
@@ -315,9 +343,8 @@ def _sobolev_sum(cost, h: float, alpha: float) -> float:
     """
     mids = _PairCost(0.5 * (cost.atoms[:-1] + cost.atoms[1:]), cost.weights,
                      cost.p)
-    total = np.zeros(cost.weights.size)
-    for (q,) in _gap_weighted(mids, h, (1.0 + alpha * cost.p,)):
-        total += q.sum(axis=(0, 1))
+    m, offs = _offset_reduce(mids, np.add)
+    total = m @ (h * offs) ** -(1.0 + alpha * cost.p)
     return 2.0 * float(cost.weights @ total) * h * h
 
 

@@ -7,13 +7,18 @@ curves) before they became one set of blocked kernels in
 path at a time. ``pow_dist_power`` is the pair cost |diff|^p as
 ``np.power`` computes it for every p. ``level_cost`` and ``besov_levels``
 are the level walk on a pair cost as it ran before levels came in row
-blocks: one array per level, summed whole.
+blocks: one array per level, summed whole. ``gap_weighted``,
+``holder_max_rows`` and ``sobolev_sum_rows`` are the Holder and Sobolev
+kernels as they ran before they reduced by offset: row blocks of the pair
+cost, every cell weighted by its gap.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from pathlift import wasserstein_p_clouds
 from pathlift.lift_builder import _CurveCost
+from pathlift.path_norms import _cost_blocks, _PairCost
 
 
 def pow_dist_power(diff, p):
@@ -52,6 +57,43 @@ def sobolev_rows(values, h, alpha, p):
         d2 = np.einsum("jd,jd->j", diff, diff)
         total += 2.0 * float(np.sum(d2 ** (0.5 * p) / gap_pow[1 : k - i]))
     return total * h * h
+
+
+def gap_weighted(cost, h, expos):
+    """Per row block, cost(i, j) / (h (j - i))^expo per exponent, last in place.
+
+    The gap of a cell depends on its offset j - i alone, so one table per
+    exponent serves every block as a strided view; its zeros at offsets
+    <= 0 blank the cells no kernel may read.
+    """
+    k = cost.k
+    tables = [
+        np.concatenate([np.zeros(k), (h * np.arange(1, k)) ** -e])
+        for e in expos
+    ]
+    for _, c in _cost_blocks(cost):
+        gaps = [as_strided(t[k - 1 :], c.shape, (-t.itemsize, t.itemsize, 0))
+                for t in tables]
+        yield [c * g for g in gaps[:-1]] + [np.multiply(c, gaps[-1], out=c)]
+
+
+def holder_max_rows(cost, h, expos):
+    """w . max_{i<j} cost(i, j) / (h (j - i))^expo, one per exponent."""
+    best = [np.zeros(cost.weights.size)] * len(expos)
+    for block in gap_weighted(cost, h, expos):
+        best = [np.maximum(b, q.max(axis=(0, 1)))
+                for b, q in zip(best, block)]
+    return [float(cost.weights @ b) for b in best]
+
+
+def sobolev_sum_rows(cost, h, alpha):
+    """Midpoint-rule W^{alpha,p} energy of a cost, summed cell by cell."""
+    mids = _PairCost(0.5 * (cost.atoms[:-1] + cost.atoms[1:]), cost.weights,
+                     cost.p)
+    total = np.zeros(cost.weights.size)
+    for (q,) in gap_weighted(mids, h, (1.0 + alpha * cost.p,)):
+        total += q.sum(axis=(0, 1))
+    return 2.0 * float(cost.weights @ total) * h * h
 
 
 def pvar_pull(values, p):

@@ -1,9 +1,10 @@
 """The blocked energy kernels against the loop forms they replaced.
 
 Sizes run from a single cell to a depth-12 path (K = 4097), so the pair
-kernels cross many row-block boundaries; the loops live in
+kernels cross many block boundaries; the loops, and the row-block Holder
+and Sobolev kernels that the offset kernels replaced, live in
 ``kernel_oracles``. The last tests pin how little memory the Monte Carlo
-path allocates, with tracemalloc.
+path and the offset kernels allocate, with tracemalloc.
 """
 
 import tracemalloc
@@ -16,6 +17,7 @@ from kernel_oracles import (
     besov_levels,
     besov_walk,
     curve_energy_pairs,
+    holder_max_rows,
     holder_rows,
     level_cost,
     level_walk,
@@ -24,6 +26,7 @@ from kernel_oracles import (
     pow_dist_power,
     pvar_pull,
     sobolev_rows,
+    sobolev_sum_rows,
 )
 from pathlift import (
     DyadicPath,
@@ -45,6 +48,7 @@ from pathlift import (
 )
 from pathlift import path_norms
 from pathlift.lift_builder import _CloudCost, _CurveCost, _energy, _lift_cost
+from pathlift.path_norms import _PairCost
 
 REL = 1e-12
 
@@ -189,6 +193,61 @@ def test_embedding_report_at_depth_12_matches_loops():
         holder_rows(path.values, h, gamma), rel=REL
     )
     assert rep.ok
+
+
+# one site to 2^10 + 1; for even K the middle offset row holds its pairs twice
+OFFSET_SIZES = [1, 2, 3, 4, 5, 33, 1024, 1025]
+
+
+def offset_costs(k, dim, p, seed):
+    """One pair cost on k sites of each kind the offset kernels read.
+
+    A path; a lift stored site by site and path by path, some of its
+    weights zero (1000 paths up to 33 sites, so that its columns come in
+    several runs, else 3); in d = 1 the W_p^p cost of a curve of 33 sorted
+    atoms (whose rows go in runs of 992 sites) and, up to 5 sites, the
+    exact W_p^p cost of weighted clouds with zero weights.
+    """
+    gen = np.random.default_rng(seed)
+    lift = np.cumsum(gen.standard_normal((k, 1000 if k <= 33 else 3, dim)),
+                     axis=0)
+    w = gen.uniform(0.1, 1.0, lift.shape[1])
+    w[:2] = 0.0
+    w /= w.sum()
+    costs = {
+        "path": path_norms._path_cost(lift[:, 0], p),
+        "by_site": _PairCost(lift, w, p),
+        "by_path": _PairCost(np.ascontiguousarray(lift.transpose(1, 0, 2))
+                             .transpose(1, 0, 2), w, p),
+    }
+    if dim == 1:
+        atoms = np.cumsum(gen.standard_normal((k, 33, 1)), axis=0)
+        costs["curve"] = _CurveCost(np.sort(atoms, axis=1), p)
+        if k <= 5:
+            wc = gen.uniform(0.1, 1.0, 33)
+            wc[:4] = 0.0
+            costs["cloud"] = _CloudCost(atoms, wc / wc.sum(), p)
+    return costs
+
+
+@pytest.mark.parametrize("k", OFFSET_SIZES)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.5, 4.0])
+def test_offset_kernels_match_row_blocks(k, dim, p):
+    h, expos = 1.0 / max(1, k - 1), (0.3, 0.8, 1.0)
+    for name, cost in offset_costs(k, dim, p, 10 * k + dim).items():
+        got = path_norms._holder_max(cost, h, expos)
+        want = holder_max_rows(cost, h, expos)
+        if name == "curve":
+            # each W_p^p cell is a BLAS product over the atoms, and its last
+            # bit depends on where the row falls in the call
+            assert got == pytest.approx(want, rel=2e-15), name
+            continue
+        assert got == want, name  # max commutes with the gap's rounding
+        if name != "cloud" and k > 1:
+            assert path_norms._sobolev_sum(cost, h, 0.45) == pytest.approx(
+                sobolev_sum_rows(cost, h, 0.45), rel=1e-14, abs=1e-300
+            ), name
 
 
 def random_measure(gen, depth, n, uniform, dim=1):
@@ -449,3 +508,19 @@ def test_besov_energies_allocate_level_blocks_not_levels():
     assert peak_bytes(lift_energy, scn.lift, spec) < 0.5 * nbytes
     shuffled = build_shuffled_lift(scn.measure_path, 6)
     assert peak_bytes(lift_energy, shuffled, spec) < 0.5 * nbytes
+
+
+def test_offset_kernels_allocate_blocks_and_one_reduced_copy():
+    # a Holder maximum weighted a second full row block for its first
+    # exponent: embedding_report on this path peaked at 1.64 MB, 4.2x one
+    # block plus the atoms; the offset kernels keep one value per column
+    # and offset besides their blocks
+    block = 8 * path_norms._BLOCK_CELLS
+    path = gaussian_path(60, 14)
+    assert peak_bytes(embedding_report, path, 0.6, 2.0, None, False) < 3 * (
+        path.values.nbytes + block)
+    scn = stochastic_heat_scenario(5, 8, 1024, with_lift=True)
+    nbytes = scn.measure_path.atoms.nbytes
+    for spec in (NormSpec(kind="holder", p=4.0, gamma=0.3),
+                 NormSpec(kind="frac_sobolev", p=4.0, alpha=0.3)):
+        assert peak_bytes(lift_energy, scn.lift, spec) < 3 * (nbytes + block)
