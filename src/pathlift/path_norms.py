@@ -29,6 +29,7 @@ offset j - i, p-variation by rows, in blocks of bounded size, so memory
 stays bounded and a freed block stays under the heap's trim threshold.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
@@ -367,7 +368,7 @@ def _pvar_dp(cost) -> float:
 def _grid_index(t: float, depth: int, horizon: float = 1.0) -> int:
     """Index of the time t on the level-depth dyadic grid of [0, horizon]."""
     k = t / (horizon / 2 ** depth)
-    k_round = round(k)
+    k_round = round(k) if math.isfinite(k) else -1  # inf and nan: off grid
     if abs(k - k_round) > 1e-9 or not 0 <= k_round <= 2 ** depth:
         raise ValueError(f"t={t} is not a level-{depth} dyadic time")
     return int(k_round)

@@ -21,7 +21,9 @@ stochastic flow), through batched coefficients: drift(t, X[n, d], w[d])
 returns (n, d), and a and sigma return one (d, d) matrix for every row
 or an (n, d, d) stack, one per row. ``euler_maruyama`` is its one-start
 case. The parabolicity check that makes alpha well defined runs whenever
-(a, sigma) change from the previous step.
+(a, sigma) change from the previous step. The noise terms alpha dB and
+sigma dW are formed per run of unchanged (a, sigma), in doubling spans of
+one stacked product a term, bit-identical to per-step products.
 """
 
 import dataclasses
@@ -39,7 +41,7 @@ from .lift_builder import (
     PathMeasure,
     build_dyadic_lift,
 )
-from .path_norms import DyadicPath
+from .path_norms import DyadicPath, _grid_index
 from .quantile_transport import QuantileMeasure, midpoint_grid
 
 __all__ = [
@@ -316,9 +318,12 @@ def euler_flow(
     w's grid. Values before the grid time t0 are held at the start (the
     hook for drifts singular at 0). alpha and its parabolicity check are
     redone only when (a, sigma) change; a violation names t and the
-    state of the row that violates it most. A path that leaves the finite floats raises
-    DivergenceError naming its first non-finite step, t, both seeds and,
-    for n > 1, the row.
+    state of the row that violates it most. The noise rows alpha dB_k and
+    sigma dW_k of a run of unchanged (a, sigma) come in spans of 1, 2, 4,
+    ... steps, one stacked product a term, bit-identical to per-step
+    products; each step is written in place. A path that leaves the
+    finite floats raises DivergenceError naming its first non-finite
+    step, t, both seeds and, for n > 1, the row.
     """
     substeps = int(substeps)
     level = substeps.bit_length() - 1
@@ -329,10 +334,12 @@ def euler_flow(
             f"substeps={substeps} cannot refine a depth-{w.depth} grid"
         )
     h = 1.0 / substeps
-    k0 = t0 * substeps
-    if abs(k0 - round(k0)) > 1e-9 or not 0 <= round(k0) < substeps:
-        raise ValueError("t0 must be a substep grid time in [0, 1)")
-    k0 = int(round(k0))
+    try:
+        k0 = _grid_index(t0, level)
+    except ValueError:
+        k0 = substeps  # off the grid: refused below like a time past the end
+    if k0 >= substeps:
+        raise ValueError(f"t0={t0!r} must be a substep grid time in [0, 1)")
     d = w.dim
     x = np.array(x0s, dtype=float)
     if x.ndim != 2 or x.size == 0 or x.shape[1] != d or not np.isfinite(x).all():
@@ -345,11 +352,11 @@ def euler_flow(
         db = _rng.stream(seed_b, "B").standard_normal((substeps, d)) * np.sqrt(h)
     xs = np.empty((substeps + 1, n, d))
     xs[: k0 + 1] = x
-    memo = None
+    memo, end = None, k0
     for k in range(k0, substeps):
-        t = k * h
-        a_mat = coeffs.diffusion_a(t, x, wv[k])
-        s_mat = coeffs.common_sigma(t, x, wv[k])
+        t, wk = k * h, wv[k]
+        a_mat = coeffs.diffusion_a(t, x, wk)
+        s_mat = coeffs.common_sigma(t, x, wk)
         key = (a_mat.tobytes(), s_mat.tobytes())
         if key != memo:
             check = parabolicity_and_alpha(a_mat, s_mat)
@@ -361,11 +368,20 @@ def euler_flow(
                 min_eig = np.reshape(check.min_eigenvalue, -1)
                 row = int(np.argmin(min_eig))  # the most violated row
                 raise ParabolicityError(
-                    t, x[row], min_eig[row], row if n > 1 else None
+                    t, x[row].copy(), min_eig[row], row if n > 1 else None
                 )
-            alpha, memo = check.alpha, key
-        x = x + coeffs.drift(t, x, wv[k]) * h + alpha @ db[k] + s_mat @ dw[k]
-        xs[k + 1] = x
+            alpha, memo, span, end = check.alpha, key, 1, k
+        if k == end:
+            # (m, 1, d) or (m, n, d) noise rows whose bits are those of
+            # alpha @ db[k] (a 2-D db @ alpha.T would not keep them)
+            start, end = k, min(k + span, substeps)
+            na = np.matmul(alpha, db[start:end, None, :, None])[..., 0]
+            ns = np.matmul(s_mat, dw[start:end, None, :, None])[..., 0]
+            span *= 2
+        x = np.add(
+            x + coeffs.drift(t, x, wk) * h + na[k - start], ns[k - start],
+            out=xs[k + 1],
+        )
     finite = np.isfinite(xs).all(axis=2)
     if not finite.all():
         step = int(np.argmin(finite.all(axis=1)))

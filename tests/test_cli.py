@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import tracemalloc
 from collections import Counter
 
@@ -501,6 +502,12 @@ def test_sde_form1_zero_noise_in_two_dimensions(tmp_path, capsys):
     ({"quantiles": []}, "quantiles"),
     ({"preset": "heat", "quantiles": []}, "quantiles"),
     ({"x0": [0.0, 1.0]}, "x0"),
+    # json reads Infinity and NaN; off every grid, for either t0 check
+    ({"preset": "heat", "t0": math.inf}, "t0"),
+    ({"preset": "heat", "t0": -math.inf}, "t0"),
+    ({"preset": "heat", "t0": math.nan}, "t0"),
+    ({"t0": math.inf}, "t0"),
+    ({"t0": math.nan}, "t0"),
 ])
 def test_sde_rejects_bad_run_counts_and_starts(tmp_path, capsys, extra, key):
     cfg = write_config(tmp_path, {

@@ -22,6 +22,7 @@ from pathlift import (
     path_to_csv,
     path_to_json,
 )
+from pathlift.path_norms import _grid_index
 
 
 def linear_path(depth, slope=1.0):
@@ -175,6 +176,12 @@ def test_holder_window_must_sit_on_grid():
     path = random_path(7, 2)
     with pytest.raises(ValueError):
         holder_seminorm(path, 0.5, window=(0.1, 0.9))
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_grid_index_refuses_non_finite_times(t):
+    with pytest.raises(ValueError, match="not a level-3 dyadic time"):
+        _grid_index(t, 3)
 
 
 def test_holder_gamma_validation():

@@ -43,6 +43,7 @@ from pathlift import (
 from pathlift import _rng
 from pathlift.lift_builder import MeasurePathSample
 from pathlift.processes import _bridge_values
+from process_oracles import euler_flow_loop
 
 
 def zero_coeffs():
@@ -374,8 +375,9 @@ def test_euler_substep_validation():
         euler_maruyama(coeffs, w, 0, [0.0], substeps=12)
     with pytest.raises(ValueError, match="refine"):
         euler_maruyama(coeffs, w, 0, [0.0], substeps=8)
-    with pytest.raises(ValueError, match="substep grid"):
-        euler_maruyama(coeffs, w, 0, [0.0], substeps=16, t0=0.3)
+    for t0 in (0.3, 1.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="substep grid"):
+            euler_maruyama(coeffs, w, 0, [0.0], substeps=16, t0=t0)
     with pytest.raises(ValueError, match="dimension"):
         euler_maruyama(coeffs, w, 0, [0.0, 1.0], substeps=16)
     # a start outside the floats is bad input, not a divergence
@@ -587,6 +589,150 @@ def test_flow_validates_starts_and_matrix_shapes():
     )
     with pytest.raises(ValueError, match=r"\(2, 2\) or \(3, 2, 2\)"):
         euler_flow(one_by_one, w, 0, np.zeros((3, 2)), 4)
+
+
+# ---------------------------------------------------------------------------
+# the stepping loop against its per-step reference
+
+
+@pytest.mark.parametrize("zero_noise", [False, True])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize(
+    "preset,t0", FLOW_PRESETS + [("she-form1", 0.25), ("heat", 2.0 ** -8)]
+)
+def test_flow_matches_the_per_step_loop(preset, t0, dim, n, zero_noise):
+    coeffs = coefficient_preset(preset)
+    w = BrownianPath(seed=40, depth=4, dim=dim)
+    x0s = np.random.default_rng(41).standard_normal((n, dim))
+    args = (coeffs, w, 42, x0s, 256, t0, zero_noise)
+    assert euler_flow(*args).paths.tobytes() == (
+        euler_flow_loop(*args).paths.tobytes()
+    )
+
+
+def switching_coeffs(n, dim, per_row):
+    """(a, sigma) constant in x that change value at t = 0.3 and t = 0.6.
+
+    sigma = c(t) S and a = (sigma sigma^T + Q Q^T) / 2, so 2a - sigma
+    sigma^T = Q Q^T and alpha is a full matrix; with per_row, row i has
+    sigma = (i + 1) c(t) S, an (n, d, d) stack.
+    """
+    gen = np.random.default_rng(43)
+    s0, q = gen.standard_normal((2, dim, dim))
+    if per_row:
+        s0 = np.arange(1.0, n + 1)[:, None, None] * s0
+    qq = q @ q.T
+
+    def sigma(t, x, w):
+        return (0.5 if t < 0.3 else 2.0 if t < 0.6 else 1.0) * s0
+
+    def a(t, x, w):
+        s = sigma(t, x, w)
+        return 0.5 * (s @ np.swapaxes(s, -1, -2) + qq)
+
+    return SdeCoefficients(
+        drift=lambda t, x, w: np.sin(w) - x, diffusion_a=a,
+        common_sigma=sigma, name="switching",
+    )
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_flow_matches_the_per_step_loop_when_coefficients_change(dim, n):
+    # at 1024 substeps the switches (steps 308 and 615) fall inside spans
+    w = BrownianPath(seed=44, depth=5, dim=dim)
+    x0s = np.random.default_rng(45).standard_normal((n, dim))
+    cases = [state_coeffs(), switching_coeffs(n, dim, False),
+             switching_coeffs(n, dim, True)]
+    for coeffs in cases:
+        for t0 in (0.0, 2.0 ** -5):
+            args = (coeffs, w, 46, x0s, 1024, t0)
+            assert euler_flow(*args).paths.tobytes() == (
+                euler_flow_loop(*args).paths.tobytes()
+            )
+
+
+def counted(coeffs, calls):
+    """coeffs with each callable counting its calls into calls[name]."""
+    def count(name, f):
+        def g(t, x, w):
+            calls[name] += 1
+            return f(t, x, w)
+        return g
+    return dataclasses.replace(coeffs, **{
+        name: count(name, getattr(coeffs, name))
+        for name in ("drift", "diffusion_a", "common_sigma")
+    })
+
+
+@pytest.mark.parametrize("case,checks", [
+    ("she-form1", 1), ("she-form2", 1), ("switching", 3), ("state", None),
+])
+def test_flow_calls_each_coefficient_once_a_step(monkeypatch, case, checks):
+    from pathlift import processes
+
+    n_checks = [0]
+
+    def check(a, sigma):
+        n_checks[0] += 1
+        return parabolicity_and_alpha(a, sigma)
+
+    monkeypatch.setattr(processes, "parabolicity_and_alpha", check)
+    if case == "switching":
+        coeffs = switching_coeffs(3, 2, True)
+    elif case == "state":
+        coeffs = state_coeffs()
+    else:
+        coeffs = coefficient_preset(case)
+    calls = dict.fromkeys(("drift", "diffusion_a", "common_sigma"), 0)
+    w = BrownianPath(seed=47, depth=3, dim=2)
+    euler_flow(counted(coeffs, calls), w, 48, np.ones((3, 2)), 1024,
+               t0=2.0 ** -4)
+    assert calls == dict.fromkeys(calls, 1024 - 64)
+    # state_coeffs change (a, sigma) at every step
+    assert n_checks[0] == (1024 - 64 if checks is None else checks)
+
+
+def test_flow_parabolicity_error_inside_a_span():
+    # row 2 turns non-parabolic at t = 0.5, step 512 of a span [511, 1023)
+    def sigma(t, x, w):
+        s = np.ones((3, 1, 1))
+        s[2] = 1.0 if t < 0.5 else 2.0
+        return s
+
+    turns = SdeCoefficients(
+        drift=lambda t, x, w: np.zeros_like(x),
+        diffusion_a=lambda t, x, w: np.eye(1), common_sigma=sigma,
+        name="turns",
+    )
+    w = BrownianPath(seed=49, depth=3)
+    args = (turns, w, 50, [[0.0], [1.0], [-1.0]], 1024)
+    with pytest.raises(ParabolicityError, match="t=0.5.* in row 2") as info:
+        euler_flow(*args)
+    with pytest.raises(ParabolicityError) as ref:
+        euler_flow_loop(*args)
+    exc, ref = info.value, ref.value
+    assert (exc.t, exc.row, exc.min_eigenvalue) == (0.5, 2, -2.0)
+    assert exc.x.tobytes() == ref.x.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_flow_divergence_inside_a_span():
+    # dX = 1.5 X^2 dt from X = 1 first overflows at step 699, inside the
+    # span [511, 1023) of coefficients that never change
+    x, step = 1.0, 0
+    while np.isfinite(x):
+        x, step = x + 1.5 * x * x / 1024, step + 1
+    assert 511 < step < 1023
+    slow = dataclasses.replace(blowup_coeffs(), drift=lambda t, x, w: 1.5 * x * x)
+    w = BrownianPath(seed=51, depth=3)
+    with pytest.raises(DivergenceError, match="in row 1") as info:
+        euler_flow(slow, w, 52, [[0.0], [1.0], [0.5]], 1024)
+    exc = info.value
+    assert (exc.step, exc.t, exc.row) == (step, step / 1024, 1)
+    assert (exc.seed, exc.seed_b) == (51, 52)
 
 
 # ---------------------------------------------------------------------------
