@@ -49,7 +49,6 @@ from .mc_estimator import (
     expected_lift_energy,
     expected_wp,
     process_besov_energy,
-    scenario_seeds,
 )
 from .path_norms import NormSpec, _grid_index, path_from_csv
 from .processes import (
@@ -123,7 +122,7 @@ def _write_file(out_dir, name, write):
 
 
 def _write_json(out_dir, name, obj):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     return _write_file(out_dir, name, lambda f: f.write(text))
 
 
@@ -387,7 +386,7 @@ def _cmd_demo(config, out_dir, seed, preset):
     def lifts(kind):
         return lambda sd: fx.lift(kind, sd, depth, count)
 
-    sd0 = scenario_seeds(cfg)[0]
+    sd0 = _rng.derive_seed(seed, 0)
     # drawn first, so the comparison's first seed sd0 finds its scenario
     independent_paths = fx.lift("independent", sd0, depth, count)
     if preset == "she":
@@ -404,6 +403,12 @@ def _cmd_demo(config, out_dir, seed, preset):
         spec, cfg,
     )
     ind_est = expected_lift_energy(lifts("independent"), spec, cfg)
+    comparison = [
+        ("quantile", comp.energy_a),
+        ("shuffled", comp.energy_b),
+        ("independent", ind_est),
+        ("marginal_curve", comp.marginal_energy),
+    ]
 
     points = _holder_points(fx, p, depth, cfg, s, range(k_min, k_max + 1))
     slope = float(np.polyfit(
@@ -420,13 +425,7 @@ def _cmd_demo(config, out_dir, seed, preset):
     files.append(_write_csv(
         out_dir, "demo_comparison.csv",
         ["lift", "energy", "std_error"],
-        [
-            ["quantile", comp.energy_a.mean, comp.energy_a.std_error],
-            ["shuffled", comp.energy_b.mean, comp.energy_b.std_error],
-            ["independent", ind_est.mean, ind_est.std_error],
-            ["marginal_curve", comp.marginal_energy.mean,
-             comp.marginal_energy.std_error],
-        ],
+        [[name, est.mean, est.std_error] for name, est in comparison],
     ))
     files.append(_write_csv(
         out_dir, "demo_holder.csv",
@@ -446,14 +445,8 @@ def _cmd_demo(config, out_dir, seed, preset):
         "seed": seed,
         "seed_rule": _rng.derivation_rule(),
         "comparison": {
-            "quantile": {"energy": comp.energy_a.mean,
-                         "std_error": comp.energy_a.std_error},
-            "shuffled": {"energy": comp.energy_b.mean,
-                         "std_error": comp.energy_b.std_error},
-            "independent": {"energy": ind_est.mean,
-                            "std_error": ind_est.std_error},
-            "marginal_curve": {"energy": comp.marginal_energy.mean,
-                               "std_error": comp.marginal_energy.std_error},
+            **{name: {"energy": est.mean, "std_error": est.std_error}
+               for name, est in comparison},
             "lower_bound_ok": comp.lower_bound_ok,
             "smaller": "quantile" if comp.smaller == "a" else "shuffled",
             "attains_marginal": comp.attains_marginal,

@@ -12,8 +12,10 @@ Wasserstein distance between random marginals, the expected dyadic
 regularity energy of a random measure curve (the ``path_norms`` kernel
 applied to the sorted slice atoms), expected lift energies, and the
 head-to-head lift comparison that exhibits one lift attaining the
-marginal-curve energy while another strictly exceeds it. A failed spot
-check names its scenario index and derived seed, to be replayed alone.
+marginal-curve energy while another strictly exceeds it. One driver
+walks the seed schedule for all of them; a ValueError or a non-finite
+value in a scenario is raised naming its index and derived seed, to be
+replayed alone. The CLI writes its bundles as strict JSON.
 """
 
 from dataclasses import dataclass
@@ -79,7 +81,7 @@ class EnergyEstimate:
     spec: Optional[NormSpec] = None
 
     def __post_init__(self):
-        if self.std_error < 0:
+        if not self.std_error >= 0:
             raise ValueError("std_error must be nonnegative")
 
 
@@ -88,11 +90,25 @@ def scenario_seeds(cfg: McConfig) -> list:
     return [_rng.derive_seed(cfg.base_seed, i) for i in range(cfg.n_mc)]
 
 
-def _mean_se(values: np.ndarray) -> tuple:
-    mean = float(np.mean(values))
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(values, ddof=1) / np.sqrt(values.size))
+def _scenario_values(value: Callable, cfg: McConfig) -> np.ndarray:
+    """Rows value(seed) per scenario seed; errors name scenario and seed."""
+    rows = []
+    for i, seed in enumerate(scenario_seeds(cfg)):
+        try:
+            rows.append(np.asarray(value(seed), dtype=float))
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"non-finite value {rows[-1].tolist()}")
+        except ValueError as exc:
+            raise ValueError(f"{exc} in scenario {i} (seed {seed})") from exc
+    return np.array(rows)
+
+
+def _estimate(values: np.ndarray, spec: Optional[NormSpec]) -> EnergyEstimate:
+    """MC mean and standard error of one column of per-scenario values."""
+    values = np.ascontiguousarray(values)
+    n = values.size
+    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return EnergyEstimate(float(np.mean(values)), se, n, spec)
 
 
 def expected_wp(sampler: Callable, p: float, cfg: McConfig) -> EnergyEstimate:
@@ -102,13 +118,13 @@ def expected_wp(sampler: Callable, p: float, cfg: McConfig) -> EnergyEstimate:
     estimate is the p-th root of the MC mean of W_p^p; its standard error
     comes from the delta method, se(root) = se(mean) * root^{1-p} / p.
     """
-    vals = np.empty(cfg.n_mc)
-    for i, seed in enumerate(scenario_seeds(cfg)):
+    def w_pp(seed):
         mu, nu = sampler(seed)
-        vals[i] = wasserstein_p(mu, nu, p) ** p
-    mean_pow, se_pow = _mean_se(vals)
-    root = mean_pow ** (1.0 / p)
-    se = 0.0 if mean_pow == 0.0 else se_pow * root ** (1.0 - p) / p
+        return wasserstein_p(mu, nu, p) ** p
+
+    est = _estimate(_scenario_values(w_pp, cfg), None)
+    root = est.mean ** (1.0 / p)
+    se = 0.0 if est.mean == 0.0 else est.std_error * root ** (1.0 - p) / p
     return EnergyEstimate(mean=root, std_error=se, n=cfg.n_mc, spec=None)
 
 
@@ -130,23 +146,20 @@ def process_besov_energy(
     sampler(seed) must return a MeasurePathSample; the per-outcome energy
     uses exact samplewise W_p between the dyadic marginals.
     """
-    spec = NormSpec(kind="besov", p=p, alpha=alpha)
-    vals = np.empty(cfg.n_mc)
-    for i, seed in enumerate(scenario_seeds(cfg)):
-        vals[i] = curve_besov_energy(sampler(seed), alpha, p)
-    mean, se = _mean_se(vals)
-    return EnergyEstimate(mean=mean, std_error=se, n=cfg.n_mc, spec=spec)
+    values = _scenario_values(
+        lambda seed: curve_besov_energy(sampler(seed), alpha, p), cfg
+    )
+    return _estimate(values, NormSpec(kind="besov", p=p, alpha=alpha))
 
 
 def expected_lift_energy(
     lift_sampler: Callable, spec: NormSpec, cfg: McConfig
 ) -> EnergyEstimate:
     """Expected energy of a random lift: MC mean of lift_energy per scenario."""
-    vals = np.empty(cfg.n_mc)
-    for i, seed in enumerate(scenario_seeds(cfg)):
-        vals[i] = lift_energy(lift_sampler(seed), spec)
-    mean, se = _mean_se(vals)
-    return EnergyEstimate(mean=mean, std_error=se, n=cfg.n_mc, spec=spec)
+    values = _scenario_values(
+        lambda seed: lift_energy(lift_sampler(seed), spec), cfg
+    )
+    return _estimate(values, spec)
 
 
 _SPOT_CHECK_TIMES = (0.25, 0.5, 1.0)
@@ -154,8 +167,7 @@ _SPOT_CHECK_TOL = 1e-8
 
 
 def _spot_check(
-    pi: PathMeasure, slices: np.ndarray, p: float, label: str, tol: float,
-    i: int, seed: int,
+    pi: PathMeasure, slices: np.ndarray, p: float, label: str, tol: float
 ):
     """W_p(lift marginal, curve atoms slices[k]) <= tol at three times."""
     depth = (slices.shape[0] - 1).bit_length() - 1
@@ -167,7 +179,7 @@ def _spot_check(
         if dist > tol:
             raise ValueError(
                 f"lift {label!r} does not match the marginal family at "
-                f"t={t} in scenario {i} (seed {seed}): W_p={dist:.3e}"
+                f"t={t}: W_p={dist:.3e}"
             )
 
 
@@ -210,23 +222,19 @@ def compare_lifts(
     tolerance), which lift is smaller, and whether the smaller one
     attains the curve energy within relative 1e-3 + 3 standard errors.
     """
-    vals_a = np.empty(cfg.n_mc)
-    vals_b = np.empty(cfg.n_mc)
-    vals_m = np.empty(cfg.n_mc)
-    for i, seed in enumerate(scenario_seeds(cfg)):
+    def scenario(seed):
         mp = marginal_sampler(seed)
         # rejects marginals that are not one-dimensional, before the checks
-        vals_m[i] = curve_energy(mp, spec)
+        m = curve_energy(mp, spec)
         slices = _sorted_slices(mp)[:, :, 0]
         pi_a = sampler_a(seed)
         pi_b = sampler_b(seed)
-        _spot_check(pi_a, slices, spec.p, "a", marginal_tol, i, seed)
-        _spot_check(pi_b, slices, spec.p, "b", marginal_tol, i, seed)
-        vals_a[i] = lift_energy(pi_a, spec)
-        vals_b[i] = lift_energy(pi_b, spec)
-    est_a = EnergyEstimate(*_mean_se(vals_a), n=cfg.n_mc, spec=spec)
-    est_b = EnergyEstimate(*_mean_se(vals_b), n=cfg.n_mc, spec=spec)
-    est_m = EnergyEstimate(*_mean_se(vals_m), n=cfg.n_mc, spec=spec)
+        _spot_check(pi_a, slices, spec.p, "a", marginal_tol)
+        _spot_check(pi_b, slices, spec.p, "b", marginal_tol)
+        return [lift_energy(pi_a, spec), lift_energy(pi_b, spec), m]
+
+    values = _scenario_values(scenario, cfg)
+    est_a, est_b, est_m = (_estimate(col, spec) for col in values.T)
     lower_ok = bool(
         est_a.mean >= est_m.mean - _attain_tol(est_a, est_m)
         and est_b.mean >= est_m.mean - _attain_tol(est_b, est_m)
@@ -283,12 +291,9 @@ def _pooled_consistency(pooled: PathMeasure, lifts, p: float):
     for t in times:
         xs, wx = marginal_cloud(pooled, t)
         margs[t] = (xs[:, 0], wx)
-        mix_x = np.concatenate(
-            [marginal_cloud(pi, t)[0][:, 0] for pi in lifts]
-        )
-        mix_w = np.concatenate(
-            [marginal_cloud(pi, t)[1] for pi in lifts]
-        ) / len(lifts)
+        clouds = [marginal_cloud(pi, t) for pi in lifts]
+        mix_x = np.concatenate([cx[:, 0] for cx, _ in clouds])
+        mix_w = np.concatenate([cw for _, cw in clouds]) / len(lifts)
         if wasserstein_p_clouds(xs[:, 0], wx, mix_x, mix_w, p) > 1e-10:
             raise ValueError(
                 f"pooled marginal at t={t} is not the scenario mixture"

@@ -676,6 +676,42 @@ def test_estimate_error_paths(tmp_path, capsys):
     assert main(["estimate", "--config", cfg, "--out", out]) == 2  # off-grid
 
 
+@pytest.mark.parametrize("target", ["besov_energy", "wp"])
+def test_estimate_refuses_a_non_finite_scenario(tmp_path, capsys, target):
+    # W_p^p at p = 700 overflows; the bundle would hold Infinity and NaN
+    cfg = write_config(tmp_path, {
+        "target": target, "fixture": "she", "p": 700, "alpha": 0.3,
+        "n_mc": 3, "depth": 4, "n_atoms": 16,
+    })
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        code = main(["estimate", "--config", cfg, "--out", str(out),
+                     "--seed", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "non-finite value" in err
+    seed = _rng.derive_seed(5, 1)
+    assert err.endswith(f" in scenario 1 (seed {seed})\n")
+    assert not (out / "estimate.json").exists()
+
+
+def test_bundles_are_strict_json(tmp_path, capsys):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(tmp_path, "x.json", {"slope": float("nan")})
+    assert not (tmp_path / "x.json").exists()
+    # each scenario's independent lift energy is finite at p = 300, but
+    # their spread overflows: std_error inf must not reach demo.json
+    cfg = write_config(tmp_path, {
+        "preset": "heat", "p": 300, "alpha": 0.3, "depth": 3, "n_atoms": 8,
+        "n_mc": 2, "count": 2, "paths_dump": 2,
+    })
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["demo", "--config", cfg, "--out", str(out)]) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not (out / "demo.json").exists()
+
+
 def test_demo_rejects_an_off_grid_lag_origin(tmp_path, capsys):
     # s + h lands on the grid, s itself does not
     cfg = write_config(tmp_path, {

@@ -6,6 +6,7 @@ import pytest
 from pathlift import (
     EnergyEstimate,
     McConfig,
+    MeasurePathSample,
     NormSpec,
     PathMeasure,
     QuantileMeasure,
@@ -30,7 +31,7 @@ from pathlift import (
     stochastic_heat_scenario,
     wasserstein_p,
 )
-from pathlift import _rng
+from pathlift import _rng, mc_estimator
 
 SPEC = NormSpec(kind="besov", p=2.0, alpha=0.6)
 
@@ -56,6 +57,8 @@ def test_config_validation():
         McConfig(n_mc=1, base_seed=1, n_atoms=0)
     with pytest.raises(ValueError):
         EnergyEstimate(mean=1.0, std_error=-0.1, n=3)
+    with pytest.raises(ValueError):
+        EnergyEstimate(mean=1.0, std_error=float("nan"), n=3)
 
 
 def test_seed_schedule_is_deterministic_and_distinct():
@@ -248,6 +251,116 @@ def test_compare_independent_lift_needs_loose_marginal_tol():
     assert res.attains_marginal
     assert res.lower_bound_ok
     assert res.energy_b.mean > res.energy_a.mean + 5.0
+
+
+# ---------------------------------------------------------------------------
+# the scenario driver: failures name their scenario, rows replay alone
+
+
+def _fails_at(i, cfg, good, bad):
+    """A sampler: bad(seed) at scenario i of cfg, good(seed) elsewhere."""
+    seed_i = scenario_seeds(cfg)[i]
+    return lambda seed: bad(seed) if seed == seed_i else good(seed)
+
+
+def _curve_2d(seed):
+    mp = she_curve(seed)
+    atoms = np.concatenate([mp.atoms, mp.atoms], axis=2)
+    return MeasurePathSample(mp.times, atoms, labels=np.zeros(atoms.shape[1:]))
+
+
+def _bad_weights(seed):
+    pi = she_quantile_lift(seed)
+    return PathMeasure(depth=pi.depth, paths=pi.paths, weights=2 * pi.weights)
+
+
+@pytest.mark.parametrize("estimate,good,bad,message", [
+    (
+        lambda s, cfg: expected_wp(s, 2.0, cfg),
+        lambda seed: (heat_flow_marginal(0.5, 16), heat_flow_marginal(1, 16)),
+        lambda seed: (heat_flow_marginal(0.5, 16), heat_flow_marginal(1, 8)),
+        "grid sizes differ",
+    ),
+    (
+        lambda s, cfg: process_besov_energy(s, 0.6, 2.0, cfg),
+        she_curve, _curve_2d, "one-dimensional marginals",
+    ),
+    (
+        lambda s, cfg: expected_lift_energy(s, SPEC, cfg),
+        she_quantile_lift, _bad_weights, "weights must sum to 1",
+    ),
+], ids=["expected_wp", "process_besov_energy", "expected_lift_energy"])
+def test_every_estimator_names_its_failing_scenario(estimate, good, bad,
+                                                    message):
+    cfg = McConfig(n_mc=4, base_seed=21)
+    with pytest.raises(ValueError, match=message) as info:
+        estimate(_fails_at(2, cfg, good, bad), cfg)
+    seed = scenario_seeds(cfg)[2]
+    assert str(info.value).endswith(f" in scenario 2 (seed {seed})")
+
+
+def test_expected_lift_energy_refuses_an_overflowing_scenario():
+    cfg = McConfig(n_mc=3, base_seed=22)
+
+    def lift(scale):
+        paths = np.array([[[0.0], [scale]], [[0.0], [-scale]]])
+        return PathMeasure(depth=0, paths=paths, weights=np.array([0.5, 0.5]))
+
+    # |1e200|^2 overflows to inf in scenario 1 only
+    sampler = _fails_at(
+        1, cfg, lambda seed: lift(1.0), lambda seed: lift(1e200)
+    )
+    with pytest.raises(ValueError, match="non-finite value inf") as info:
+        with np.errstate(over="ignore"):
+            expected_lift_energy(sampler, SPEC, cfg)
+    assert f"in scenario 1 (seed {scenario_seeds(cfg)[1]})" in str(info.value)
+
+
+def record_scenario_values(monkeypatch):
+    """The arrays the estimators' driver returns, in call order."""
+    runs = []
+    driver = mc_estimator._scenario_values
+
+    def recorded(value, cfg):
+        runs.append(driver(value, cfg))
+        return runs[-1]
+
+    monkeypatch.setattr(mc_estimator, "_scenario_values", recorded)
+    return runs
+
+
+def test_compare_lifts_rows_replay_alone(monkeypatch):
+    def shuffled(seed):
+        return build_shuffled_lift(she_curve(seed), seed=seed)
+
+    runs = record_scenario_values(monkeypatch)
+    cfg = McConfig(n_mc=5, base_seed=23)
+    compare_lifts(she_quantile_lift, shuffled, she_curve, SPEC, cfg)
+    (values,) = runs
+    assert values.shape == (5, 3)
+    for i in range(cfg.n_mc):
+        seed = _rng.derive_seed(cfg.base_seed, i)
+        row = np.array([
+            lift_energy(she_quantile_lift(seed), SPEC),
+            lift_energy(shuffled(seed), SPEC),
+            curve_energy(she_curve(seed), SPEC),
+        ])
+        assert values[i].tobytes() == row.tobytes(), i
+
+
+def test_expected_wp_rows_replay_alone(monkeypatch):
+    def sampler(seed):
+        x = np.sort(_rng.stream(seed, "x").standard_normal(16))
+        return QuantileMeasure(x), heat_flow_marginal(1.0, 16)
+
+    runs = record_scenario_values(monkeypatch)
+    cfg = McConfig(n_mc=6, base_seed=24)
+    expected_wp(sampler, 3.0, cfg)
+    (values,) = runs
+    for i in range(cfg.n_mc):
+        mu, nu = sampler(_rng.derive_seed(cfg.base_seed, i))
+        w_pp = np.float64(wasserstein_p(mu, nu, 3.0) ** 3.0)
+        assert values[i].tobytes() == w_pp.tobytes(), i
 
 
 # ---------------------------------------------------------------------------
