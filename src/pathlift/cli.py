@@ -54,6 +54,7 @@ from .path_norms import NormSpec, _grid_index, path_from_csv
 from .processes import (
     BrownianPath,
     _independent_paths,
+    _normal_atoms,
     brownian_bundle,
     coefficient_preset,
     euler_flow,
@@ -65,7 +66,6 @@ from .processes import (
 )
 from .quantile_transport import (
     QuantileMeasure,
-    midpoint_grid,
     monotone_coupling,
     qm_from_csv,
     wasserstein_p,
@@ -164,7 +164,7 @@ class _Fixture:
         if name not in ("heat", "she"):
             raise ConfigError(f"unknown fixture {name!r}")
         self.name = name
-        self._c = gaussian_quantile(midpoint_grid(n_atoms))
+        self._c = _normal_atoms(n_atoms)
         # one entry each but W: a seed's samplers share its scenario, and
         # heat builds its curve and marginals once; the builders are
         # looked up in this module at call time, so tests can count them
@@ -501,9 +501,11 @@ def _cmd_sde(config, out_dir, seed, preset):
     if form2 and x0.size != 1:
         raise ConfigError("x0 must have one coordinate for she-form2")
     if form2:
-        # each quantile run starts on its curve c(q) sqrt(t) + W_t at t0
+        # each quantile run starts on its curve c(q) sqrt(t) + W_t at t0; W(t0)
+        # is read at t0's own level (or W's): the bridge keeps it at any depth
         level = substeps.bit_length() - 1
         k0 = _dyadic_index(t0, level, "t0")
+        m = max(depth, level + 1 - (k0 & -k0).bit_length() if k0 else 0)
         c = gaussian_quantile(quantiles)
     runs, dev_rows, run_id = [], [], 0
     for i in range(n_seeds):
@@ -511,7 +513,8 @@ def _cmd_sde(config, out_dir, seed, preset):
         w = BrownianPath(seed=sd, depth=depth, dim=x0.size)
         starts = x0[None, :]
         if form2:
-            starts = (c * np.sqrt(t0) + w.refine(level).values[k0])[:, None]
+            w_t0 = (w.refine(m) if m > depth else w).values[_grid_index(t0, m)]
+            starts = (c * np.sqrt(t0) + w_t0)[:, None]
         flow = euler_flow(
             coeffs, w, _rng.derive_seed(sd, 1), starts, substeps,
             t0=t0, zero_noise=zero_noise,

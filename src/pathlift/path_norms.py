@@ -26,7 +26,7 @@ the weighted sum of its path energies. A measure curve is one atom of
 weight 1 whose pair cost is W_p^p between slices i and j, so a curve
 energy is the same kernel run on that cost. Holder and Sobolev reduce by
 offset j - i, p-variation by rows, in blocks of bounded size, so memory
-stays bounded and a freed block stays under the heap's trim threshold.
+stays bounded; the offset blocks of one call share one buffer.
 """
 
 import math
@@ -168,8 +168,8 @@ class NormSpec:
 
 # cells (rows x columns x atom coordinates) of one pair or level cost block.
 # On a 2-core Xeon with 2 MiB L2 per core path-kernels took 18.8 ms of CPU
-# time at 2^14 and 2^15 cells, 27.4 ms at 2^16 (60 interleaved runs). A freed
-# 256 KiB block stays under glibc's heap trim threshold; a 2 MiB one did not.
+# time at 2^14 and 2^15 cells, 27.4 ms at 2^16 (60 interleaved runs). glibc
+# maps a fresh 256 KiB block and faults it in anew, hence one offset buffer.
 _BLOCK_CELLS = 2 ** 15
 
 
@@ -231,10 +231,12 @@ class _PairCost:
     def offset_blocks(self):
         """Yields (n, o, c), c[q, r, i] = cost(i, (i + o + r) mod K)[n + q],
         rows 1..K//2 of circular offsets in blocks of at most _BLOCK_CELLS
-        cells; a cost that overrides __call__ builds them from its cells."""
+        cells, each overwriting the last in one buffer made per call; a
+        cost that overrides __call__ builds them from its cells."""
         sites, k, half = self.atoms.transpose(1, 0, 2), self.k, self.k // 2
         g = min(sites.shape[0], max(1, _BLOCK_CELLS // sites[0].size))
         rows = max(1, _BLOCK_CELLS // (g * sites[0].size))
+        buf = np.empty(g * min(rows, half) * sites[0].size)
         for n in range(0, sites.shape[0], g):
             # the run in C order, then its first K//2 sites again
             run = np.ascontiguousarray(sites[n : n + g])
@@ -242,8 +244,9 @@ class _PairCost:
             ahead = as_strided(x[:, 1:], x.shape[:1] + (half, k) + x.shape[2:],
                                x.strides[:2] + x.strides[1:])
             for o in range(1, half + 1, rows):
-                diff = ahead[:, o - 1 : o - 1 + rows] - x[:, None, :k]
-                yield n, o, _pow_dist(diff, self.p)
+                a, b = ahead[:, o - 1 : o - 1 + rows], x[:, None, :k]
+                diff = buf[: a.size].reshape(a.shape)
+                yield n, o, _pow_dist(np.subtract(a, b, out=diff), self.p)
 
 
 def _path_cost(values: np.ndarray, p: float) -> _PairCost:

@@ -24,15 +24,20 @@ case. The parabolicity check that makes alpha well defined runs whenever
 (a, sigma) change from the previous step. The noise terms alpha dB and
 sigma dW are formed per run of unchanged (a, sigma), in doubling spans of
 one stacked product a term, bit-identical to per-step products.
+
+Normal quantiles come from a numpy port of Cephes ``ndtri``, equal to
+``scipy.special.ndtri`` bit for bit, so pathlift needs no scipy at run
+time. The tail's logs go through ``math.log``, the C library log that
+Cephes calls: numpy's vectorized ``np.log`` differs in the last bit.
 """
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _rng
 from .errors import DivergenceError, ParabolicityError
@@ -68,12 +73,58 @@ __all__ = [
 ]
 
 
+# Cephes ndtri's (p, q) pairs, q led by 1: the band e^-2 < y < 1 - e^-2,
+# then the tails z = sqrt(-2 log y) < 8 and z >= 8
+_BAND = ((-59.96335010141079, 98.00107541859997, -56.67628574690703,
+          13.931260938727968, -1.2391658386738125),
+         (1.0, 1.9544885833814176, 4.676279128988815, 86.36024213908905,
+          -225.46268785411937, 200.26021238006066, -82.03722561683334,
+          15.90562251262117, -1.1833162112133))
+_TAIL = ((4.0554489230596245, 31.525109459989388, 57.16281922464213,
+          44.08050738932008, 14.684956192885803, 2.1866330685079025,
+          -0.1402560791713545, -0.03504246268278482, -0.0008574567851546854),
+         (1.0, 15.779988325646675, 45.39076351288792, 41.3172038254672,
+          15.04253856929075, 2.504649462083094, -0.14218292285478779,
+          -0.03808064076915783, -0.0009332594808954574))
+_FAR = ((3.2377489177694603, 6.915228890689842, 3.9388102529247444,
+         1.3330346081580755, 0.20148538954917908, 0.012371663481782003,
+         0.00030158155350823543, 2.6580697468673755e-06,
+         6.239745391849833e-09),
+        (1.0, 6.02427039364742, 3.6798356385616087, 1.3770209948908132,
+         0.21623699359449663, 0.013420400608854318, 0.00032801446468212774,
+         2.8924786474538068e-06, 6.790194080099813e-09))
+_EXP_M2 = 0.1353352832366127
+_libm_log = np.vectorize(math.log, otypes=[float])
+
+
+def _rational(x, pq):
+    """x p(x) / q(x), p and q by Horner's rule in Cephes' order."""
+    return x * np.polyval(pq[0], x) / np.polyval(pq[1], x)
+
+
 def gaussian_quantile(q):
     """Standard normal quantile function, sqrt(2) erfinv(2q - 1)."""
     q = np.asarray(q, dtype=float)
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
+    if not np.all((q > 0.0) & (q < 1.0)):  # NaN fails both
         raise ValueError("quantile levels must lie in (0, 1)")
-    return ndtri(q)
+    upper = q.ravel() > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - q.ravel(), q.ravel())
+    out, band = np.empty_like(y), y > _EXP_M2
+    v = y[band] - 0.5
+    out[band] = (v + v * _rational(v * v, _BAND)) * 2.5066282746310007
+    z = np.sqrt(-2.0 * _libm_log(y[~band]))
+    tail = z - _libm_log(z) / z - np.where(
+        z < 8.0, _rational(1.0 / z, _TAIL), _rational(1.0 / z, _FAR))
+    out[~band] = np.where(upper[~band], tail, -tail)
+    return out.reshape(q.shape)[()]
+
+
+@functools.lru_cache(maxsize=16)
+def _normal_atoms(n: int) -> np.ndarray:
+    """The standard normal quantiles of ``midpoint_grid(n)``, read-only."""
+    c = gaussian_quantile(midpoint_grid(n))
+    c.setflags(write=False)
+    return c
 
 
 def _bridge_values(seed, stream, depth, dim, count=None):
@@ -170,14 +221,13 @@ def heat_flow_marginal(t: float, n: int) -> QuantileMeasure:
     """Quantile form of N(0, t), the heat kernel started from a point mass."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return QuantileMeasure(np.sqrt(t) * ndtri(midpoint_grid(n)))
+    return QuantileMeasure(np.sqrt(t) * _normal_atoms(n))
 
 
 def heat_flow_path(depth: int, n: int) -> MeasurePathSample:
     """The curve t -> N(0, t) on the level-`depth` grid, sqrt(t_k) * c_j."""
     times = np.linspace(0.0, 1.0, 2 ** depth + 1)
-    c = ndtri(midpoint_grid(n))
-    return MeasurePathSample(times, np.sqrt(times)[:, None] * c)
+    return MeasurePathSample(times, np.sqrt(times)[:, None] * _normal_atoms(n))
 
 
 def stochastic_heat_scenario(
@@ -200,7 +250,7 @@ def stochastic_heat_scenario(
 
 def _she_atoms(w: BrownianPath, n: int) -> np.ndarray:
     """The (K, n) atoms W_{t_k} + sqrt(t_k) ndtri(u_j), W added in place."""
-    atoms = np.sqrt(w.times())[:, None] * ndtri(midpoint_grid(n))
+    atoms = np.sqrt(w.times())[:, None] * _normal_atoms(n)
     return np.add(atoms, w.values, out=atoms)
 
 

@@ -28,7 +28,7 @@ from pathlift import (
     build_dyadic_lift,
     stochastic_heat_scenario,
 )
-from pathlift import _rng, cli, lift_builder
+from pathlift import _rng, cli, lift_builder, processes
 from pathlift.cli import main
 
 
@@ -508,6 +508,9 @@ def test_sde_form1_zero_noise_in_two_dimensions(tmp_path, capsys):
     ({"preset": "heat", "t0": math.nan}, "t0"),
     ({"t0": math.inf}, "t0"),
     ({"t0": math.nan}, "t0"),
+    # NaN levels got through to the starts and were refused as bad x0
+    ({"quantiles": [math.nan]}, "(0, 1)"),
+    ({"quantiles": [0.5, math.nan]}, "(0, 1)"),
 ])
 def test_sde_rejects_bad_run_counts_and_starts(tmp_path, capsys, extra, key):
     cfg = write_config(tmp_path, {
@@ -532,6 +535,29 @@ def test_sde_form2_stays_on_the_quantile_curve(tmp_path, capsys):
     dev_rows = read_rows(out / "sde_deviation.csv")
     assert len(dev_rows) == 1
     assert float(dev_rows[0]["max_deviation"]) == obj["max_deviation"]
+
+
+@pytest.mark.parametrize("depth, built", [
+    (3, {3: 2, 10: 2, 12: 2}),  # W(t0), t0 = 2^-10, from a level-10 bridge
+    (11, {11: 2, 12: 2}),  # W's own grid holds t0
+])
+def test_sde_form2_refines_w_to_the_substeps_once_per_seed(
+    tmp_path, capsys, monkeypatch, depth, built
+):
+    depths = Counter()
+    bridge = processes._bridge_values
+
+    def counted(seed, stream, depth, dim, count=None):
+        depths[depth] += 1
+        return bridge(seed, stream, depth, dim, count)
+
+    monkeypatch.setattr(processes, "_bridge_values", counted)
+    cfg = write_config(tmp_path, {
+        "preset": "she-form2", "depth": depth, "n_seeds": 2,
+        "quantiles": [0.3, 0.8],
+    })
+    assert main(["sde", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert depths == Counter(built)
 
 
 def test_sde_streams_its_paths_file(tmp_path, capsys):

@@ -516,6 +516,13 @@ def test_offset_kernels_allocate_blocks_and_one_reduced_copy():
     # block plus the atoms; the offset kernels keep one value per column
     # and offset besides their blocks
     block = 8 * path_norms._BLOCK_CELLS
+    # every block of a call goes into one buffer: a fresh block a step kept
+    # two alive (2.6 blocks on this path), which glibc gave back to the
+    # system and faulted in again on every call
+    path = gaussian_path(60, 10)
+    for args in ((0.6, 2.0), (0.3, 4.0)):
+        assert peak_bytes(embedding_report, path, *args, None, False) < (
+            path.values.nbytes + 2 * block)
     path = gaussian_path(60, 14)
     assert peak_bytes(embedding_report, path, 0.6, 2.0, None, False) < 3 * (
         path.values.nbytes + block)

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +44,8 @@ from pathlift import (
     stochastic_heat_scenario,
     wasserstein_p,
 )
-from pathlift import _rng
+import pathlift
+from pathlift import _rng, cli, processes
 from pathlift.lift_builder import MeasurePathSample
 from pathlift.processes import _bridge_values
 from process_oracles import euler_flow_loop
@@ -74,9 +79,65 @@ def test_gaussian_quantile_symmetry_and_domain():
     assert gaussian_quantile(u) == pytest.approx(
         -gaussian_quantile(1.0 - u), abs=1e-12
     )
-    for bad in (0.0, 1.0, -0.2):
-        with pytest.raises(ValueError):
+    # NaN fails every comparison: [nan, 0.5] used to give [nan, 0.]
+    for bad in (0.0, 1.0, -0.2, np.nan, [np.nan, 0.5], [0.5, np.inf]):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
             gaussian_quantile(bad)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_gaussian_quantile_is_scipy_ndtri_bit_for_bit():
+    # the numpy port of Cephes ndtri against scipy's compiled one: uniform
+    # levels, log-uniform tails on both sides (1 - 1e-300 rounds to 1 and
+    # is dropped), a band within 1e-10 of 1, and every midpoint grid
+    gen = np.random.default_rng(16)
+    tails = 10.0 ** gen.uniform(-300.0, 0.0, 100_000)
+    batches = [gen.uniform(size=300_000), tails, 1.0 - tails,
+               1.0 - gen.uniform(0.0, 1e-10, 10_000),
+               np.array([5e-324, 0.5, np.nextafter(1.0, 0.0)])]
+    batches += [np.concatenate([midpoint_grid(n) for n in range(lo, lo + 256)])
+                for lo in range(1, 4097, 256)]
+    for q in batches:
+        q = q[(q > 0.0) & (q < 1.0)]
+        np.testing.assert_array_equal(bits(gaussian_quantile(q)),
+                                      bits(ndtri(q)))
+    # shapes are kept, and a scalar level gives a scalar
+    q = np.array([[0.2, 0.7], [0.01, 0.999]])
+    assert bits(gaussian_quantile(q)).tolist() == bits(ndtri(q)).tolist()
+    assert gaussian_quantile([]).shape == (0,)
+    c = gaussian_quantile(0.3)
+    assert isinstance(c, np.float64) and bits(c) == bits(ndtri(0.3))
+
+
+def test_midpoint_atoms_are_one_read_only_array_per_n(monkeypatch):
+    calls = []
+    quantile = processes.gaussian_quantile
+    monkeypatch.setattr(processes, "gaussian_quantile",
+                        lambda q: calls.append(q.size) or quantile(q))
+    processes._normal_atoms.cache_clear()
+    for seed in range(3):
+        stochastic_heat_scenario(seed, 3, 12)
+    heat_flow_path(3, 12)
+    heat_flow_marginal(0.5, 12)
+    assert calls == [12]
+    c = processes._normal_atoms(12)
+    assert c is processes._normal_atoms(12) and not c.flags.writeable
+    assert cli._Fixture("she", 12)._c is c
+    assert bits(c).tolist() == bits(ndtri(midpoint_grid(12))).tolist()
+
+
+def test_import_leaves_scipy_out():
+    # scipy.special alone loaded 285 modules; the tests keep it as an oracle
+    code = ("import sys, pathlift, pathlift.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(pathlift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
