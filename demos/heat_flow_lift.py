@@ -35,7 +35,7 @@ def main():
     spec = NormSpec(kind="besov", p=P, alpha=ALPHA)
     mp = heat_flow_path(DEPTH, ATOMS)
 
-    quantile = build_dyadic_lift(mp, "quantile", DEPTH)
+    quantile = build_dyadic_lift(mp, DEPTH)
     shuffled = build_shuffled_lift(mp, seed=7)
     curve = curve_besov_energy(mp, ALPHA, P)
 
@@ -55,13 +55,15 @@ def main():
         print(f"  {row.n:2d}  {row.energy:9.6f}  {row.bound:9.6f}  {row.ok}")
 
     family = [
-        build_dyadic_lift(heat_flow_path(n, ATOMS), "quantile", n)
+        build_dyadic_lift(heat_flow_path(n, ATOMS), n)
         for n in range(6)
     ]
     report = tightness_diagnostic(family, p=P, gamma=ALPHA)
     print()
     print(f"tightness: sup_n ratio = {report.sup_ratio:.6f} "
           f"(start moment {report.start_moment:.3e})")
+    ratios = "  ".join(f"{r:.4f}" for r in report.level_ratios)
+    print(f"  per level m = 0..5: {ratios}")
 
 
 if __name__ == "__main__":

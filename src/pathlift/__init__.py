@@ -2,9 +2,9 @@
 
 The package follows one storyline: measure a path's regularity through
 Hölder, p-variation, fractional Sobolev and dyadic Besov seminorms
-(:mod:`pathlift.path_norms`), couple time slices of a measure-valued
-curve optimally (:mod:`pathlift.quantile_transport`,
-:mod:`pathlift.nu_transport`), assemble the coupled slices into a
+(:mod:`pathlift.path_norms`), couple the time slices of a measure curve
+on R optimally through their quantile functions
+(:mod:`pathlift.quantile_transport`), assemble the coupled slices into a
 measure on path space and compare its energy with the curve's own
 (:mod:`pathlift.lift_builder`), generate the worked heat-flow and
 stochastic-heat examples with closed-form marginals
@@ -13,12 +13,11 @@ stochastic-heat examples with closed-form marginals
 machinery from JSON configs.
 """
 
-from . import lift_builder, mc_estimator, nu_transport, path_norms, processes
+from . import lift_builder, mc_estimator, path_norms, processes
 from . import quantile_transport
 from .errors import DivergenceError, MathPreconditionError, ParabolicityError
 from .lift_builder import *
 from .mc_estimator import *
-from .nu_transport import *
 from .path_norms import *
 from .processes import *
 from .quantile_transport import *
@@ -33,7 +32,6 @@ __all__ = [
     "DivergenceError",
     *path_norms.__all__,
     *quantile_transport.__all__,
-    *nu_transport.__all__,
     *lift_builder.__all__,
     *processes.__all__,
     *mc_estimator.__all__,

@@ -1,4 +1,5 @@
-"""The one CSV/JSON codec behind the public ``*_csv``/``*_json`` adapters.
+"""The one CSV codec behind the public ``*_csv`` adapters and the CLI's
+tables, and the typed field reader of the CLI's JSON configs.
 
 Tables are RFC 4180 CSV with CRLF line endings and one header row (the
 quantile file has none), in the bytes of ``csv.writer``: a float cell is
@@ -9,7 +10,6 @@ comma, quote, CR or LF. Each value is formatted to a cell once.
 
 import csv
 import itertools
-import json
 from collections.abc import Mapping
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -107,7 +107,7 @@ def _has_kind(value, kind) -> bool:
 
 
 def json_fields(obj, what: str, **kinds) -> list:
-    """Values of the named fields of a JSON object (a str or a mapping).
+    """Values of the named fields of a parsed JSON object (a mapping).
 
     Each keyword names a field and gives its kind, ``int``, ``float``,
     ``str``, ``bool`` or ``list`` (a JSON array, read as a float array),
@@ -119,10 +119,6 @@ def json_fields(obj, what: str, **kinds) -> list:
     def malformed(reason):
         return ValueError(f"malformed {what} object: {reason}")
 
-    try:
-        obj = json.loads(obj) if isinstance(obj, str) else obj
-    except json.JSONDecodeError as exc:
-        raise malformed(exc) from exc
     if not isinstance(obj, Mapping):
         raise malformed(f"expected a JSON object, got {type(obj).__name__}")
     values = []

@@ -19,14 +19,20 @@ command sees the same curve, the same quantile, shuffled and independent
 lifts and the same W_p marginals; the shuffled lift permutes with the
 seed ``derive_seed(s, 1)``.
 
-Exit codes: 0 on success, 2 for config or input errors, 3 when a
-mathematical precondition fails (for example a coefficient preset that
-violates parabolicity).
+Every table and JSON document of a bundle is made, and a non-finite
+number refused, before the first file is written, so a failing command
+leaves no bundle files (the ``sde`` paths table streams; its values are
+finite or the integrator has already raised).
+
+Exit codes: 0 on success, 2 for config or input errors and for an
+overflowing float power, 3 when a mathematical precondition fails (for
+example a coefficient preset that violates parabolicity).
 """
 
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -121,14 +127,26 @@ def _write_file(out_dir, name, write):
     return name
 
 
-def _write_json(out_dir, name, obj):
+def _json_file(name, obj):
+    """(name, write) of a strict JSON document, its text made now."""
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    return _write_file(out_dir, name, lambda f: f.write(text))
+    return name, lambda f: f.write(text)
 
 
-def _write_csv(out_dir, name, header, rows):
-    rows = ([_cell(v) for v in row] for row in rows)
-    return _write_file(out_dir, name, lambda f: write_table(f, header, rows))
+def _csv_file(name, header, rows):
+    """(name, write) of a CSV table, its cells made now; a non-finite
+    number is refused, naming the file and the row."""
+    cells = []
+    for i, row in enumerate(rows, 1):
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+            raise ValueError(f"{name} row {i}: non-finite cell in {row!r}")
+        cells.append([_cell(v) for v in row])
+    return name, lambda f: write_table(f, header, cells)
+
+
+def _write_files(out_dir, files):
+    """Write (name, write) pairs, all made before the first file opens."""
+    return [_write_file(out_dir, name, write) for name, write in files]
 
 
 def _dyadic_index(t, depth, what):
@@ -192,7 +210,7 @@ class _Fixture:
     def lift(self, kind, seed, depth, count=None):
         """The quantile, shuffled or independent (count paths) lift."""
         if kind == "quantile":
-            return build_dyadic_lift(self.curve(seed, depth), "quantile", depth)
+            return build_dyadic_lift(self.curve(seed, depth), depth)
         if kind == "shuffled":
             return build_shuffled_lift(
                 self.curve(seed, depth), _rng.derive_seed(seed, 1)
@@ -254,10 +272,9 @@ def _cmd_norms(config, out_dir, seed, preset):
                     float(value),
                 ]
             )
-    name = _write_csv(
-        out_dir, "norms.csv",
-        ["input", "kind", "p", "alpha", "gamma", "value"], rows,
-    )
+    (name,) = _write_files(out_dir, [_csv_file(
+        "norms.csv", ["input", "kind", "p", "alpha", "gamma", "value"], rows,
+    )])
     print(f"{name}: {len(rows)} rows")
     return 0
 
@@ -276,17 +293,17 @@ def _cmd_ot(config, out_dir, seed, preset):
     mu, nu = measures["mu"], measures["nu"]
     dist = wasserstein_p(mu, nu, p)
     coupling = monotone_coupling(mu, nu)
-    files = [
-        _write_csv(out_dir, "coupling.csv", ["x", "y"],
-                   [[float(a), float(b)] for a, b in coupling.pairs]),
-        _write_json(out_dir, "ot.json", {
+    files = _write_files(out_dir, [
+        _csv_file("coupling.csv", ["x", "y"],
+                  [[float(a), float(b)] for a, b in coupling.pairs]),
+        _json_file("ot.json", {
             "spec_version": SPEC_VERSION,
             "p": p,
             "n_atoms": mu.grid_size,
             "w_p": float(dist),
             "coupling_cost": float(coupling.cost(p)),
         }),
-    ]
+    ])
     print(f"ot: W_{p:g} = {dist!r} ({', '.join(files)})")
     return 0
 
@@ -303,9 +320,9 @@ def _cmd_lift(config, out_dir, seed, preset):
     final_energy = levels[-1].energy
     marg_energy = levels[-1].marginal_energy
     files = [
-        _write_csv(out_dir, "lift_levels.csv", ["n", "energy", "bound", "ok"],
-                   [[r.n, r.energy, r.bound, r.ok] for r in levels]),
-        _write_json(out_dir, "lift.json", {
+        _csv_file("lift_levels.csv", ["n", "energy", "bound", "ok"],
+                  [[r.n, r.energy, r.bound, r.ok] for r in levels]),
+        _json_file("lift.json", {
             "spec_version": SPEC_VERSION,
             "fixture": fixture,
             "depth": depth,
@@ -327,9 +344,8 @@ def _cmd_lift(config, out_dir, seed, preset):
     if dump_paths:
         # refine_and_track ends on the finest curve, which the fixture holds
         finest = fx.lift("quantile", seed, depth)
-        files.append(_write_file(
-            out_dir, "lift_paths.csv", lambda f: pm_to_csv(finest, f)
-        ))
+        files.append(("lift_paths.csv", lambda f: pm_to_csv(finest, f)))
+    files = _write_files(out_dir, files)
     print(f"lift: final energy {final_energy!r} ({', '.join(files)})")
     return 0
 
@@ -395,7 +411,7 @@ def _cmd_demo(config, out_dir, seed, preset):
         )
     else:
         quantile_paths = build_dyadic_lift(
-            heat_flow_path(depth, paths_dump), "quantile", depth
+            heat_flow_path(depth, paths_dump), depth
         )
 
     comp = compare_lifts(
@@ -416,23 +432,16 @@ def _cmd_demo(config, out_dir, seed, preset):
         np.log([pt[1] for pt in points]), 1,
     )[0])
 
-    files = []
-    for name, pm in (
-        ("demo_quantile_paths.csv", quantile_paths),
-        ("demo_independent_paths.csv", independent_paths),
-    ):
-        files.append(_write_file(out_dir, name, lambda f: pm_to_csv(pm, f)))
-    files.append(_write_csv(
-        out_dir, "demo_comparison.csv",
-        ["lift", "energy", "std_error"],
-        [[name, est.mean, est.std_error] for name, est in comparison],
-    ))
-    files.append(_write_csv(
-        out_dir, "demo_holder.csv",
-        ["h", "wp", "std_error"],
-        [list(pt) for pt in points],
-    ))
-
+    # every table and the summary are made, and checked, before any write
+    files = [
+        ("demo_quantile_paths.csv", lambda f: pm_to_csv(quantile_paths, f)),
+        ("demo_independent_paths.csv",
+         lambda f: pm_to_csv(independent_paths, f)),
+        _csv_file("demo_comparison.csv", ["lift", "energy", "std_error"],
+                  [[name, e.mean, e.std_error] for name, e in comparison]),
+        _csv_file("demo_holder.csv", ["h", "wp", "std_error"],
+                  [list(pt) for pt in points]),
+    ]
     summary = {
         "spec_version": SPEC_VERSION,
         "preset": preset,
@@ -456,7 +465,7 @@ def _cmd_demo(config, out_dir, seed, preset):
             "points": [list(pt) for pt in points],
             "slope": slope,
         },
-        "files": sorted(files + ["demo.json"]),
+        "files": sorted([name for name, _ in files] + ["demo.json"]),
     }
     if preset == "she":
         # W_0 and W_1 are the same bits at every depth
@@ -465,7 +474,7 @@ def _cmd_demo(config, out_dir, seed, preset):
         )
         summary["wp_01"] = {"estimate": wp01.mean,
                             "std_error": wp01.std_error, "n": wp01.n}
-    files.append(_write_json(out_dir, "demo.json", summary))
+    files = _write_files(out_dir, files + [_json_file("demo.json", summary)])
     print(f"demo {preset}: slope {slope!r} ({', '.join(sorted(files))})")
     return 0
 
@@ -530,13 +539,13 @@ def _cmd_sde(config, out_dir, seed, preset):
             runs.append((run_id, sd, q, times, path))
             run_id += 1
 
-    path_rows = ([r, sd, q, t, *row] for r, sd, q, times, path in runs
+    # streamed: the Euler paths are finite, or euler_flow raised
+    path_rows = ([_cell(v) for v in (r, sd, q, t, *row)]
+                 for r, sd, q, times, path in runs
                  for t, row in zip(times.tolist(), path.tolist()))
-    files = [_write_csv(
-        out_dir, "sde_paths.csv",
-        ["run_id", "seed", "q", "t"] + [f"x_{i + 1}" for i in range(x0.size)],
-        path_rows,
-    )]
+    header = ["run_id", "seed", "q", "t"] + [
+        f"x_{i + 1}" for i in range(x0.size)]
+    files = [("sde_paths.csv", lambda f: write_table(f, header, path_rows))]
     summary = {
         "spec_version": SPEC_VERSION,
         "preset": preset,
@@ -549,15 +558,15 @@ def _cmd_sde(config, out_dir, seed, preset):
         "zero_noise": zero_noise,
     }
     if form2:
-        files.append(_write_csv(
-            out_dir, "sde_deviation.csv",
-            ["run_id", "seed", "q", "max_deviation"], dev_rows,
+        files.append(_csv_file(
+            "sde_deviation.csv", ["run_id", "seed", "q", "max_deviation"],
+            dev_rows,
         ))
         max_dev = max(r[3] for r in dev_rows)
         summary["threshold"] = threshold
         summary["max_deviation"] = max_dev
         summary["below_threshold"] = max_dev < threshold
-    files.append(_write_json(out_dir, "sde.json", summary))
+    files = _write_files(out_dir, files + [_json_file("sde.json", summary)])
     print(f"sde {preset}: {run_id} runs ({', '.join(files)})")
     return 0
 
@@ -602,14 +611,14 @@ def _cmd_estimate(config, out_dir, seed, preset):
     payload["target"] = target
     payload["fixture"] = fixture
     payload["p"] = p
-    files = [
-        _write_json(out_dir, "estimate.json", payload),
-        _write_csv(
-            out_dir, "estimate.csv",
+    files = _write_files(out_dir, [
+        _json_file("estimate.json", payload),
+        _csv_file(
+            "estimate.csv",
             ["target", "fixture", "estimate", "std_error", "n"],
             [[target, fixture, est.mean, est.std_error, est.n]],
         ),
-    ]
+    ])
     print(
         f"estimate {target}/{fixture}: {est.mean!r} "
         f"± {est.std_error!r} ({', '.join(files)})"
@@ -676,6 +685,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # a float power that overflows
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,14 +1,14 @@
 """Finitely supported path measures over measure-valued curves.
 
-Given a curve of measures sampled at the dyadic times of level n, a lift
-is a weighted family of dyadic paths whose time-t marginals reproduce
-the curve. A curve is one validated atom array of shape (K, N, d): sorted
-quantile rows (d = 1), or particle positions over one shared label set
-(nu-based, any d). Either way atom j of every slice is coupled to atom j
-of every other, so the lift's paths are the same array read path by path
-(a view, not a copy), every pairwise marginal of a quantile lift is an
-optimal coupling, and the coupling is nested across all coarser dyadic
-levels.
+Given a curve of measures on R sampled at the dyadic times of level n, a
+lift is a weighted family of dyadic paths whose time-t marginals
+reproduce the curve. A curve is one validated array of sorted quantile
+rows, shape (K, N, 1). Its quantile lift couples atom j of every slice to
+atom j of every other, so the lift's paths are the same array read path
+by path (a view, not a copy), every pairwise marginal is an optimal
+coupling, and the coupling is nested across all coarser dyadic levels.
+A lift in R^d is a ``PathMeasure`` of its particle paths; the lift
+energies take any d.
 
 Energies use the one set of kernels in ``path_norms``, which serves paths,
 lifts and curves, through one kind dispatch (``_energy``). A lift's paths
@@ -26,8 +26,7 @@ from typing import Callable, Optional, Sequence, TextIO
 import numpy as np
 
 from . import _rng
-from ._codec import _ROW_BLOCK, grid_depth, json_fields, read_table, write_table
-from .nu_transport import ParticleEnsemble
+from ._codec import _ROW_BLOCK, grid_depth, read_table, write_table
 from .path_norms import (
     _BLOCK_CELLS,
     DyadicPath,
@@ -42,7 +41,6 @@ from .path_norms import (
 )
 from .quantile_transport import (
     _WEIGHT_TOL,
-    QuantileMeasure,
     _sorted_cloud,
     _sorted_clouds_cost,
     wasserstein_p_clouds,
@@ -57,15 +55,12 @@ __all__ = [
     "build_dyadic_lift",
     "build_shuffled_lift",
     "lift_energy",
-    "marginal",
     "marginal_cloud",
     "marginal_wasserstein",
     "marginal_curve_energy",
     "pairwise_optimality_gap",
     "refine_and_track",
     "tightness_diagnostic",
-    "pm_to_json",
-    "pm_from_json",
     "pm_to_csv",
     "pm_from_csv",
     "bound_factor",
@@ -107,22 +102,6 @@ class PathMeasure:
         object.__setattr__(self, "paths", arr)
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def from_paths(cls, paths: Sequence[DyadicPath], weights=None) -> "PathMeasure":
-        if len(paths) == 0:
-            raise ValueError("need at least one path")
-        depth = paths[0].depth
-        dim = paths[0].dim
-        for q in paths:
-            if q.depth != depth or q.dim != dim:
-                raise ValueError("all paths must share depth and dim")
-            if q.horizon != 1.0:
-                raise ValueError("path measures live on horizon 1")
-        arr = np.stack([q.values for q in paths])
-        if weights is None:
-            weights = np.full(len(paths), 1.0 / len(paths))
-        return cls(depth=depth, paths=arr, weights=weights)
-
     @property
     def n_paths(self) -> int:
         return self.paths.shape[0]
@@ -150,18 +129,16 @@ def _at(times: np.ndarray, k: int) -> str:
 
 @dataclass(frozen=True)
 class MeasurePathSample:
-    """A measure-valued curve on the level-n dyadic grid times (K = 2^n + 1).
+    """A measure curve on R at the level-n dyadic grid times (K = 2^n + 1).
 
-    atoms (K, N, d) holds the N equal-weight atoms of slice k in row k; a
-    (K, N) array is read as d = 1. labels is None for a quantile curve
-    (d = 1, rows sorted) or one (N, d) label array shared by every slice
-    of an ensemble curve. Validated once with no float copy, naming the
-    first bad slice; it keeps read-only views, which its lifts share.
+    atoms (K, N, 1) holds the N equal-weight atoms of slice k in row k,
+    sorted: the quantile function of slice k. A (K, N) array is read as
+    (K, N, 1). Validated once with no float copy, naming the first bad
+    slice; it keeps a read-only view, which its quantile lift shares.
     """
 
     times: np.ndarray
     atoms: np.ndarray
-    labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -170,7 +147,7 @@ class MeasurePathSample:
             atoms = atoms[:, :, None]
         k = times.size
         if atoms.ndim != 3 or atoms.size == 0 or times.shape != (len(atoms),):
-            raise ValueError("atoms must be nonempty (K, N, d), K = len(times)")
+            raise ValueError("atoms must be nonempty (K, N, 1), K = len(times)")
         if k < 2 or (k - 1) & (k - 2):
             raise ValueError("number of time points must be 2^n + 1")
         if not np.allclose(times, np.linspace(0.0, 1.0, k), rtol=0, atol=1e-12):
@@ -178,74 +155,44 @@ class MeasurePathSample:
         if not np.isfinite(atoms).all():
             where = _at(times, np.argmin(np.isfinite(atoms).all(axis=(1, 2))))
             raise ValueError(f"{where}: atoms must be finite")
-        labels = self.labels
-        if labels is None:
-            if atoms.shape[2] != 1:
-                raise ValueError("a quantile curve is one-dimensional")
-            unsorted = (atoms[:, 1:, 0] < atoms[:, :-1, 0]).any(axis=1)
-            if unsorted.any():
-                where = _at(times, np.argmax(unsorted))
-                raise ValueError(f"{where}: quantiles must be nondecreasing")
-        else:
-            labels = np.asarray(labels, dtype=float).view()
-            if labels.shape != atoms.shape[1:] or not np.isfinite(labels).all():
-                raise ValueError("labels must be finite, one (d,) row per atom")
-            labels.flags.writeable = False
+        if atoms.shape[2] != 1:
+            raise ValueError("a quantile curve has one-dimensional marginals")
+        unsorted = (atoms[:, 1:, 0] < atoms[:, :-1, 0]).any(axis=1)
+        if unsorted.any():
+            where = _at(times, np.argmax(unsorted))
+            raise ValueError(f"{where}: quantiles must be nondecreasing")
         atoms.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_measures(cls, measures: Sequence) -> "MeasurePathSample":
-        """Stack per-slice QuantileMeasure or ParticleEnsemble objects that
-        share their atom count (and, for ensembles, their labels)."""
-        if all(isinstance(m, QuantileMeasure) for m in measures):
-            rows, labels = [m.quantiles[:, None] for m in measures], None
-        elif all(isinstance(m, ParticleEnsemble) for m in measures):
-            rows, labels = [m.positions for m in measures], measures[0].labels
-        else:
-            raise ValueError("measures must be uniformly QuantileMeasure or "
-                             "ParticleEnsemble")
+        """Stack per-slice QuantileMeasure objects of one atom count."""
+        rows = [m.quantiles for m in measures]
         times = np.linspace(0.0, 1.0, len(rows))
-        for k, (m, row) in enumerate(zip(measures, rows)):
-            if row.shape != rows[0].shape:
-                raise ValueError(
-                    f"{_at(times, k)}: {row.shape[0]} atoms in dimension "
-                    f"{row.shape[1]}, slice 0 has {rows[0].shape}"
-                )
-            if labels is not None and not np.array_equal(m.labels, labels):
-                raise ValueError(f"{_at(times, k)}: labels differ from slice 0")
-        return cls(times, np.stack(rows), labels)
+        for k, row in enumerate(rows):
+            if row.size != rows[0].size:
+                raise ValueError(f"{_at(times, k)}: {row.size} atoms, "
+                                 f"slice 0 has {rows[0].size}")
+        return cls(times, np.stack(rows))
 
     @property
     def level(self) -> int:
         return (self.times.size - 1).bit_length() - 1
 
-    @property
-    def is_quantile(self) -> bool:
-        return self.labels is None
 
+def build_dyadic_lift(mp: MeasurePathSample, n: int) -> PathMeasure:
+    """Assemble the level-n quantile lift of a sampled measure curve.
 
-def build_dyadic_lift(
-    mp: MeasurePathSample, coupler: str, n: int
-) -> PathMeasure:
-    """Assemble the level-n lift of a sampled measure curve.
-
-    coupler "quantile" (d = 1) follows the quantile trajectories, so each
-    pairwise dyadic marginal of the result is the monotone, hence
-    optimal, coupling, nested across every coarser level m <= n.
-    coupler "nu_based" pairs particles by their shared labels. Paths
-    interpolate linearly between the coupled points. Either way the paths
-    are a read-only transposed view of the curve's atoms, not a copy.
+    The paths follow the quantile trajectories, so each pairwise dyadic
+    marginal of the result is the monotone, hence optimal, coupling,
+    nested across every coarser level m <= n. Paths interpolate linearly
+    between the coupled points. They are a read-only transposed view of
+    the curve's atoms, not a copy.
     """
     if mp.level != n:
         raise ValueError(f"level-{n} lift needs {2 ** n + 1} time points, "
                          f"got {mp.times.size}")
-    if coupler not in ("quantile", "nu_based"):
-        raise ValueError(f"unknown coupler {coupler!r}")
-    if (coupler == "quantile") != mp.is_quantile:
-        raise ValueError(f"{coupler} coupler does not fit this curve's kind")
     n_atoms = mp.atoms.shape[1]
     return PathMeasure(
         depth=n,
@@ -263,8 +210,6 @@ def build_shuffled_lift(mp: MeasurePathSample, seed: int) -> PathMeasure:
     quantile lift's whenever the slices have distinct atoms. Useful as
     the suboptimal baseline in comparisons.
     """
-    if not mp.is_quantile:
-        raise ValueError("shuffled lift is a 1d construction")
     traj = mp.atoms[:, :, 0].T.copy()  # (N, K), writable
     n_atoms = traj.shape[0]
     names = (f"shuffle/{i}" for i in range(1, traj.shape[1]))
@@ -275,17 +220,6 @@ def build_shuffled_lift(mp: MeasurePathSample, seed: int) -> PathMeasure:
         paths=traj[:, :, None],
         weights=np.full(n_atoms, 1.0 / n_atoms),
     )
-
-
-def _sorted_slices(mp: MeasurePathSample) -> np.ndarray:
-    """Atoms of every slice of a curve, shape (K, N, d), equal weights.
-
-    In d = 1 row k is sorted, the quantile function of slice k (quantile
-    rows are sorted already); ensembles in d > 1 keep label order.
-    """
-    if mp.is_quantile or mp.atoms.shape[2] > 1:
-        return mp.atoms
-    return np.sort(mp.atoms, axis=1, kind="stable")
 
 
 def _lift_cost(pi: PathMeasure, p: float) -> _PairCost:
@@ -301,8 +235,6 @@ class _CurveCost(_PairCost):
     """
 
     def __init__(self, slices: np.ndarray, p: float):
-        if slices.shape[2] != 1:
-            raise ValueError("exact W_p needs one-dimensional marginals")
         super().__init__(slices, np.ones(1), p)
         self.atom_weights = np.full(slices.shape[1], 1.0 / slices.shape[1])
 
@@ -377,24 +309,6 @@ def marginal_cloud(pi: PathMeasure, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Atom positions and weights of the time-t marginal (grid t only)."""
     k = _grid_index(t, pi.depth)
     return pi.paths[:, k, :].copy(), pi.weights.copy()
-
-
-def marginal(pi: PathMeasure, t: float):
-    """Time-t marginal of the lift at a grid time.
-
-    For d = 1 with uniform weights, returns a QuantileMeasure (sorted
-    atoms). For d > 1 returns the (positions, weights) cloud. Nonuniform
-    1d weights have no equal-weight quantile representation; use
-    ``marginal_cloud`` for those.
-    """
-    values, weights = marginal_cloud(pi, t)
-    if pi.dim != 1:
-        return values, weights
-    if not pi.uniform_weights():
-        raise ValueError(
-            "nonuniform weights: use marginal_cloud for the weighted atoms"
-        )
-    return QuantileMeasure(np.sort(values[:, 0], kind="stable"))
 
 
 def marginal_wasserstein(pi: PathMeasure, s: float, t: float, p: float) -> float:
@@ -477,7 +391,6 @@ def refine_and_track(
     mp_provider: Callable[[int], MeasurePathSample],
     spec: NormSpec,
     n_max: int,
-    coupler: Optional[str] = None,
 ) -> list[RefineTrackRow]:
     """Lift energies across refinement levels n = 0..n_max, with the bound.
 
@@ -491,9 +404,7 @@ def refine_and_track(
     rows = []
     finest = None
     for n in range(n_max + 1):
-        mp = mp_provider(n)
-        kind = "quantile" if mp.is_quantile else "nu_based"
-        pi = build_dyadic_lift(mp, coupler or kind, n)
+        pi = build_dyadic_lift(mp_provider(n), n)
         rows.append((n, lift_energy(pi, spec)))
         if n == n_max:
             finest = pi
@@ -545,26 +456,6 @@ def tightness_diagnostic(
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def pm_to_json(pi: PathMeasure) -> dict:
-    return {
-        "depth": pi.depth,
-        "dim": pi.dim,
-        "weights": pi.weights.tolist(),
-        "paths": pi.paths.tolist(),
-    }
-
-
-def pm_from_json(obj) -> PathMeasure:
-    depth, dim, weights, paths = json_fields(
-        obj, "path measure", depth=int, dim=(int, None), weights=list,
-        paths=list,
-    )
-    pi = PathMeasure(depth=depth, paths=paths, weights=weights)
-    if dim is not None and dim != pi.dim:
-        raise ValueError("dim field disagrees with path array")
-    return pi
 
 
 def pm_to_csv(pi: PathMeasure, f: TextIO) -> None:

@@ -13,9 +13,10 @@ regularity energy of a random measure curve (the ``path_norms`` kernel
 applied to the sorted slice atoms), expected lift energies, and the
 head-to-head lift comparison that exhibits one lift attaining the
 marginal-curve energy while another strictly exceeds it. One driver
-walks the seed schedule for all of them; a ValueError or a non-finite
-value in a scenario is raised naming its index and derived seed, to be
-replayed alone. The CLI writes its bundles as strict JSON.
+walks the seed schedule for all of them; a ValueError, an ArithmeticError
+(a float power that overflows) or a non-finite value in a scenario is
+raised naming its index and derived seed, to be replayed alone. The CLI
+writes its bundles as strict JSON.
 """
 
 from dataclasses import dataclass
@@ -29,8 +30,6 @@ from .lift_builder import (
     PathMeasure,
     _CurveCost,
     _energy,
-    _lift_cost,
-    _sorted_slices,
     lift_energy,
     marginal_cloud,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "curve_energy",
     "curve_besov_energy",
     "compare_lifts",
-    "average_lift",
     "estimate_to_json",
 ]
 
@@ -100,6 +98,8 @@ def _scenario_values(value: Callable, cfg: McConfig) -> np.ndarray:
                 raise ValueError(f"non-finite value {rows[-1].tolist()}")
         except ValueError as exc:
             raise ValueError(f"{exc} in scenario {i} (seed {seed})") from exc
+        except ArithmeticError as exc:  # a float power that overflows
+            raise type(exc)(f"{exc} in scenario {i} (seed {seed})") from exc
     return np.array(rows)
 
 
@@ -135,7 +135,7 @@ def curve_besov_energy(mp: MeasurePathSample, alpha: float, p: float) -> float:
 
 def curve_energy(mp: MeasurePathSample, spec: NormSpec) -> float:
     """W_p energy (besov/holder/pvar) of a curve from its sorted slice atoms."""
-    return _energy(_CurveCost(_sorted_slices(mp), spec.p), spec)
+    return _energy(_CurveCost(mp.atoms, spec.p), spec)
 
 
 def process_besov_energy(
@@ -224,9 +224,8 @@ def compare_lifts(
     """
     def scenario(seed):
         mp = marginal_sampler(seed)
-        # rejects marginals that are not one-dimensional, before the checks
         m = curve_energy(mp, spec)
-        slices = _sorted_slices(mp)[:, :, 0]
+        slices = mp.atoms[:, :, 0]
         pi_a = sampler_a(seed)
         pi_b = sampler_b(seed)
         _spot_check(pi_a, slices, spec.p, "a", marginal_tol)
@@ -252,61 +251,6 @@ def compare_lifts(
         smaller=smaller,
         attains_marginal=attains,
     )
-
-
-def average_lift(
-    lift_sampler: Callable, cfg: McConfig, p: float = 2.0
-) -> PathMeasure:
-    """Expectation of a random lift, represented by pooling its paths.
-
-    All scenario lifts must share depth, path count and dimension; the
-    pooled measure carries each path with its weight divided by n_mc.
-    Two consequences are verified before returning (violations raise):
-    the pooled time-t marginal equals the mixture of the scenario
-    marginals, and W_p^p between pooled marginals never exceeds the
-    pooled coupling cost.
-    """
-    lifts = [lift_sampler(seed) for seed in scenario_seeds(cfg)]
-    first = lifts[0]
-    for pi in lifts[1:]:
-        if (
-            pi.depth != first.depth
-            or pi.n_paths != first.n_paths
-            or pi.dim != first.dim
-        ):
-            raise ValueError("scenario lifts must share depth, count and dim")
-    pooled = PathMeasure(
-        depth=first.depth,
-        paths=np.concatenate([pi.paths for pi in lifts]),
-        weights=np.concatenate([pi.weights for pi in lifts]) / len(lifts),
-    )
-    if pooled.dim == 1:
-        _pooled_consistency(pooled, lifts, p)
-    return pooled
-
-
-def _pooled_consistency(pooled: PathMeasure, lifts, p: float):
-    times = (0.0, 0.5, 1.0) if pooled.depth >= 1 else (0.0, 1.0)
-    margs = {}
-    for t in times:
-        xs, wx = marginal_cloud(pooled, t)
-        margs[t] = (xs[:, 0], wx)
-        clouds = [marginal_cloud(pi, t) for pi in lifts]
-        mix_x = np.concatenate([cx[:, 0] for cx, _ in clouds])
-        mix_w = np.concatenate([cw for _, cw in clouds]) / len(lifts)
-        if wasserstein_p_clouds(xs[:, 0], wx, mix_x, mix_w, p) > 1e-10:
-            raise ValueError(
-                f"pooled marginal at t={t} is not the scenario mixture"
-            )
-    pair = _lift_cost(pooled, p)
-    for s, t in zip(times[:-1], times[1:]):
-        dist = wasserstein_p_clouds(*margs[s], *margs[t], p) ** p
-        ks, kt = (_grid_index(u, pooled.depth) for u in (s, t))
-        cost = float(pair(ks, kt) @ pair.weights)
-        if dist > cost + 1e-10 * max(1.0, cost):
-            raise ValueError(
-                f"pooled marginals at ({s}, {t}) violate the coupling bound"
-            )
 
 
 def estimate_to_json(est: EnergyEstimate, cfg: McConfig) -> dict:

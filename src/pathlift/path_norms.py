@@ -36,8 +36,7 @@ from typing import Optional, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._codec import array_rows, grid_depth, json_fields
-from ._codec import read_table, write_table
+from ._codec import array_rows, grid_depth, read_table, write_table
 
 __all__ = [
     "DyadicPath",
@@ -49,8 +48,6 @@ __all__ = [
     "frac_sobolev_seminorm",
     "grr_constant",
     "embedding_report",
-    "path_to_json",
-    "path_from_json",
     "path_to_csv",
     "path_from_csv",
 ]
@@ -109,15 +106,6 @@ class DyadicPath:
         """Physical grid times k/2^M * horizon."""
         return np.linspace(0.0, self.horizon, self.n_points)
 
-    def level_values(self, m: int) -> np.ndarray:
-        """Values on the coarser level-m dyadic grid, m <= depth."""
-        if not 0 <= m <= self.depth:
-            raise ValueError(f"level {m} not in [0, {self.depth}]")
-        return self.values[:: 2 ** (self.depth - m)]
-
-    def scaled(self, lam: float) -> "DyadicPath":
-        return DyadicPath(self.depth, lam * self.values, self.horizon)
-
 
 @dataclass(frozen=True)
 class NormSpec:
@@ -144,14 +132,6 @@ class NormSpec:
         if self.kind == "holder":
             if self.gamma is None or not 0 < self.gamma <= 1:
                 raise ValueError("gamma must lie in (0, 1]")
-
-    def in_equivalence_range(self) -> bool:
-        """True when 1 < p and 1/p < alpha < 1 (Sobolev/Besov equivalence)."""
-        return (
-            self.alpha is not None
-            and self.p > 1
-            and 1.0 / self.p < self.alpha < 1.0
-        )
 
     def seminorm(self, path: DyadicPath) -> float:
         if self.kind == "holder":
@@ -482,7 +462,6 @@ class EmbeddingReport:
     p: float
     gamma: float
     cbar: float
-    w_seminorm: float
     holder_lhs: float
     cbar_rhs: float
     pvar_lhs: Optional[float]
@@ -553,7 +532,6 @@ def embedding_report(
         p=p,
         gamma=gamma,
         cbar=cbar,
-        w_seminorm=w,
         holder_lhs=holder_lhs,
         cbar_rhs=cbar_rhs,
         pvar_lhs=pvar_lhs,
@@ -566,26 +544,6 @@ def embedding_report(
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def path_to_json(path: DyadicPath) -> dict:
-    return {
-        "depth": path.depth,
-        "horizon": path.horizon,
-        "dim": path.dim,
-        "values": path.values.tolist(),
-    }
-
-
-def path_from_json(obj) -> DyadicPath:
-    depth, horizon, dim, values = json_fields(
-        obj, "path", depth=int, horizon=(float, 1.0), dim=(int, None),
-        values=list,
-    )
-    path = DyadicPath(depth=depth, values=values, horizon=horizon)
-    if dim is not None and dim != path.dim:
-        raise ValueError("dim field disagrees with values shape")
-    return path
 
 
 def path_to_csv(path: DyadicPath, f: TextIO) -> None:

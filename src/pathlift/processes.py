@@ -69,7 +69,6 @@ __all__ = [
     "sfpe_holder_exponent",
     "coefficient_preset",
     "preset_names",
-    "scenario_to_json",
 ]
 
 
@@ -242,7 +241,7 @@ def stochastic_heat_scenario(
     """
     w = BrownianPath(seed=seed, depth=depth)
     mp = MeasurePathSample(w.times(), _she_atoms(w, n))
-    lift = build_dyadic_lift(mp, "quantile", depth) if with_lift else None
+    lift = build_dyadic_lift(mp, depth) if with_lift else None
     return ScenarioSample(
         seed=seed, common_path=w, measure_path=mp, lift=lift
     )
@@ -305,7 +304,7 @@ def quantile_particle_paths(
     """Second particle representation: gamma_j(t) = c(u_j) sqrt(t) + W_t.
 
     Exact marginals at quantile resolution and monotone pairwise
-    couplings; coincides path-by-path with the quantile-coupler lift of
+    couplings; coincides path-by-path with the quantile lift of
     the scenario's measure curve when n matches its atom count.
     """
     w = scenario.common_path
@@ -314,7 +313,7 @@ def quantile_particle_paths(
     if n is None:
         n = scenario.measure_path.atoms.shape[1]
     curve = MeasurePathSample(w.times(), _she_atoms(w, n))
-    return build_dyadic_lift(curve, "quantile", w.depth)
+    return build_dyadic_lift(curve, w.depth)
 
 
 @dataclass(frozen=True)
@@ -498,14 +497,10 @@ def sfpe_p_energy(
 @dataclass(frozen=True)
 class HolderWindow:
     """Time regularity exponent of the measure curve, with the admissible
-    fractional-smoothness window when it is nonempty (p > 3)."""
+    fractional-smoothness window, or None when it is empty (p <= 3)."""
 
     gamma: float
     window: Optional[tuple]
-
-    @property
-    def window_empty(self) -> bool:
-        return self.window is None
 
 
 def sfpe_holder_exponent(p: float) -> HolderWindow:
@@ -567,15 +562,3 @@ def coefficient_preset(name: str) -> SdeCoefficients:
             f"unknown preset {name!r}; known: {', '.join(sorted(_PRESETS))}"
         ) from None
     return factory()
-
-
-def scenario_to_json(s: ScenarioSample) -> dict:
-    """Seed, depth, common path W and the marginals, one quantile row per
-    grid time (the rows of the curve's atom array)."""
-    w = s.common_path.values
-    return {
-        "seed": int(s.seed),
-        "depth": int(s.common_path.depth),
-        "W": w[:, 0].tolist() if w.shape[1] == 1 else w.tolist(),
-        "marginals": s.measure_path.atoms[:, :, 0].tolist(),
-    }

@@ -19,23 +19,17 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from ._codec import array_rows, json_fields, read_table, write_table
+from ._codec import array_rows, read_table, write_table
 from .path_norms import _pow_dist
 
 __all__ = [
     "QuantileMeasure",
     "MonotoneCoupling",
-    "from_samples",
-    "generalized_inverse_eval",
-    "cdf_eval",
     "wasserstein_p",
     "wasserstein_p_clouds",
     "monotone_coupling",
     "monotone_multicoupling",
-    "regrid",
     "midpoint_grid",
-    "qm_to_json",
-    "qm_from_json",
     "qm_to_csv",
     "qm_from_csv",
 ]
@@ -76,36 +70,6 @@ class QuantileMeasure:
         return float(np.mean(self.quantiles))
 
 
-def from_samples(samples) -> QuantileMeasure:
-    """Empirical measure of the samples, as sorted equal-weight atoms.
-
-    Ties keep their input order (stable sort), matching the
-    left-continuous inverse convention.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("samples must be a nonempty 1d array")
-    return QuantileMeasure(np.sort(arr, kind="stable"))
-
-
-def generalized_inverse_eval(m: QuantileMeasure, u: float) -> float:
-    """Left-continuous generalized inverse F^{-1}(u) = inf{x : F(x) >= u}.
-
-    On the atom representation this is quantiles[ceil(u N)] (1-based).
-    """
-    if not 0 < u < 1:
-        raise ValueError("u must lie in (0, 1)")
-    n = m.grid_size
-    idx = int(np.ceil(u * n))
-    idx = min(max(idx, 1), n)
-    return float(m.quantiles[idx - 1])
-
-
-def cdf_eval(m: QuantileMeasure, x: float) -> float:
-    """CDF F(x) of the atom measure (right-continuous)."""
-    return float(np.searchsorted(m.quantiles, x, side="right")) / m.grid_size
-
-
 def wasserstein_p(mu: QuantileMeasure, nu: QuantileMeasure, p: float) -> float:
     """W_p distance between same-size quantile measures.
 
@@ -118,7 +82,7 @@ def wasserstein_p(mu: QuantileMeasure, nu: QuantileMeasure, p: float) -> float:
     if mu.grid_size != nu.grid_size:
         raise ValueError(
             f"grid sizes differ ({mu.grid_size} vs {nu.grid_size}); "
-            "regrid one measure first"
+            "wasserstein_p_clouds takes measures of any sizes"
         )
     diff = (mu.quantiles - nu.quantiles)[:, None]
     return float(np.mean(_pow_dist(diff, p)) ** (1.0 / p))
@@ -211,31 +175,8 @@ def monotone_multicoupling(measures: Sequence[QuantileMeasure]) -> np.ndarray:
     return np.column_stack([m.quantiles for m in measures])
 
 
-def regrid(m: QuantileMeasure, n: int) -> QuantileMeasure:
-    """Re-express the measure on an n-point midpoint grid.
-
-    Evaluates the generalized inverse at the target levels; monotone by
-    construction, and the identity when n equals the current grid size.
-    """
-    grid = midpoint_grid(n)
-    idx = np.ceil(grid * m.grid_size).astype(int)
-    idx = np.clip(idx, 1, m.grid_size)
-    return QuantileMeasure(m.quantiles[idx - 1])
-
-
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def qm_to_json(m: QuantileMeasure) -> dict:
-    return {"n": m.grid_size, "quantiles": m.quantiles.tolist()}
-
-
-def qm_from_json(obj) -> QuantileMeasure:
-    n, quantiles = json_fields(obj, "quantile measure", n=int, quantiles=list)
-    if quantiles.size != n:
-        raise ValueError("n field disagrees with quantile count")
-    return QuantileMeasure(quantiles)
 
 
 def qm_to_csv(m: QuantileMeasure, f: TextIO) -> None:

@@ -1,4 +1,4 @@
-"""Per-type CSV/JSON codecs, kept as references for the tests.
+"""Per-type CSV codecs, kept as references for the tests.
 
 The library once wrote and read each table with its own hand-written
 pair: one row and one ``repr`` per value, with its own blank-line
@@ -13,13 +13,11 @@ string-joining writer must match byte for byte.
 """
 
 import csv
-import json
 
 import numpy as np
 
 from pathlift import (
     DyadicPath,
-    ParticleEnsemble,
     PathMeasure,
     QuantileMeasure,
 )
@@ -40,17 +38,6 @@ def qm_to_csv(m, f):
     writer = csv.writer(f, lineterminator="\r\n")
     for q in m.quantiles:
         writer.writerow([repr(float(q))])
-
-
-def ensemble_to_csv(e, f):
-    writer = csv.writer(f, lineterminator="\r\n")
-    writer.writerow(
-        [f"y_{i + 1}" for i in range(e.dim)]
-        + [f"x_{i + 1}" for i in range(e.dim)]
-    )
-    for lab, pos in zip(e.labels, e.positions):
-        writer.writerow([repr(float(v)) for v in lab]
-                        + [repr(float(v)) for v in pos])
 
 
 def pm_to_csv(pi, f):
@@ -94,13 +81,6 @@ def qm_from_csv(f):
     return QuantileMeasure(np.asarray(vals))
 
 
-def ensemble_from_csv(f):
-    reader = csv.reader(f)
-    d = len(next(reader)) // 2
-    arr = np.asarray([[float(v) for v in line] for line in reader if line])
-    return ParticleEnsemble(labels=arr[:, :d], positions=arr[:, d:])
-
-
 def pm_from_csv(f, weights=None):
     reader = csv.reader(f)
     assert next(reader)[:2] == ["path_id", "t"]
@@ -120,37 +100,3 @@ def pm_from_csv(f, weights=None):
         weights = np.full(len(ids), 1.0 / len(ids))
     return PathMeasure(depth=n.bit_length() - 1, paths=paths, weights=weights)
 
-
-def path_from_json(obj):
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return DyadicPath(
-        depth=obj["depth"],
-        values=np.asarray(obj["values"], dtype=float),
-        horizon=obj.get("horizon", 1.0),
-    )
-
-
-def qm_from_json(obj):
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return QuantileMeasure(np.asarray(obj["quantiles"], dtype=float))
-
-
-def ensemble_from_json(obj):
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return ParticleEnsemble(
-        labels=np.asarray(obj["labels"], dtype=float),
-        positions=np.asarray(obj["positions"], dtype=float),
-    )
-
-
-def pm_from_json(obj):
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return PathMeasure(
-        depth=int(obj["depth"]),
-        weights=np.asarray(obj["weights"], dtype=float),
-        paths=np.asarray(obj["paths"], dtype=float),
-    )

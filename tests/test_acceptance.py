@@ -87,7 +87,7 @@ def test_criterion_02_heat_lift_attains_curve_energy_shuffle_does_not():
     start = time.perf_counter()
     spec = NormSpec(kind="besov", p=2.0, alpha=0.6)
     mp = heat_flow_path(8, 256)
-    quantile = build_dyadic_lift(mp, "quantile", 8)
+    quantile = build_dyadic_lift(mp, 8)
     le = lift_energy(quantile, spec)
     assert abs(le - curve_besov_energy(mp, 0.6, 2.0)) <= 1e-9
     shuffled = build_shuffled_lift(mp, seed=2)

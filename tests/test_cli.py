@@ -297,7 +297,7 @@ def test_lift_prices_the_finest_marginal_curve_once(
     assert calls == [4]
     obj = json.loads((out / "lift.json").read_text())
     finest = build_dyadic_lift(
-        stochastic_heat_scenario(2, 4, 8).measure_path, "quantile", 4
+        stochastic_heat_scenario(2, 4, 8).measure_path, 4
     )
     spec = NormSpec(kind="besov", p=4.0, alpha=0.3)
     assert obj["marginal_energy"] == price(finest, spec)
@@ -723,10 +723,11 @@ def test_estimate_refuses_a_non_finite_scenario(tmp_path, capsys, target):
 
 def test_bundles_are_strict_json(tmp_path, capsys):
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli._write_json(tmp_path, "x.json", {"slope": float("nan")})
+        cli._json_file("x.json", {"slope": float("nan")})
     assert not (tmp_path / "x.json").exists()
-    # each scenario's independent lift energy is finite at p = 300, but
-    # their spread overflows: std_error inf must not reach demo.json
+    # each scenario's lift energies are finite at p = 300, but their
+    # spread overflows: std_error inf must reach no bundle file, and the
+    # comparison table, made before demo.json, names its row
     cfg = write_config(tmp_path, {
         "preset": "heat", "p": 300, "alpha": 0.3, "depth": 3, "n_atoms": 8,
         "n_mc": 2, "count": 2, "paths_dump": 2,
@@ -734,8 +735,45 @@ def test_bundles_are_strict_json(tmp_path, capsys):
     out = tmp_path / "o"
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["demo", "--config", cfg, "--out", str(out)]) == 2
-    assert "not JSON compliant" in capsys.readouterr().err
-    assert not (out / "demo.json").exists()
+    err = capsys.readouterr().err
+    assert "demo_comparison.csv row 2: non-finite cell" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv,config,where", [
+    (["lift"], {"p": 700, "depth": 5, "n_atoms": 32}, ""),
+    (["demo", "--preset", "heat"],
+     {"p": 700, "n_mc": 4, "depth": 5, "n_atoms": 32}, " in scenario 0 (seed "),
+], ids=["lift", "demo"])
+def test_an_overflowing_power_exits_2(tmp_path, capsys, argv, config, where):
+    # the besov level weight 2^(m (alpha p - 1)) leaves the float range
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "o"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError: ") and "Traceback" not in err
+    assert where in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv,config,where", [
+    # std_error inf in the comparison table, which the parent wrote out
+    (["demo", "--preset", "heat"],
+     {"p": 250, "alpha": 0.01, "n_mc": 4, "depth": 5, "n_atoms": 32},
+     "demo_comparison.csv row 2: non-finite cell"),
+    # each level energy |dX|^1500 is inf
+    (["lift"], {"p": 1500, "alpha": 0.0002, "depth": 3, "n_atoms": 8,
+                "fixture": "she"},
+     "lift_levels.csv row 1: non-finite cell"),
+], ids=["demo", "lift"])
+def test_a_failing_bundle_leaves_no_files(tmp_path, capsys, argv, config,
+                                          where):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    assert where in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_demo_rejects_an_off_grid_lag_origin(tmp_path, capsys):

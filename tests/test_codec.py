@@ -1,9 +1,9 @@
-"""The columnar CSV/JSON codec: bytes against the per-type oracles, exact
-round trips, and rejection of malformed tables and JSON fields."""
+"""The columnar CSV codec and the typed JSON field reader: bytes against
+the per-type oracles, exact round trips, and rejection of malformed
+tables and JSON fields."""
 
 import csv
 import io
-import json
 import tracemalloc
 
 import numpy as np
@@ -15,27 +15,17 @@ from hypothesis.extra import numpy as hnp
 import codec_oracles as oracle
 from pathlift import (
     DyadicPath,
-    ParticleEnsemble,
     PathMeasure,
     QuantileMeasure,
-    ensemble_from_csv,
-    ensemble_from_json,
-    ensemble_to_csv,
-    ensemble_to_json,
     path_from_csv,
-    path_from_json,
     path_to_csv,
-    path_to_json,
     pm_from_csv,
-    pm_from_json,
     pm_to_csv,
-    pm_to_json,
     qm_from_csv,
-    qm_from_json,
     qm_to_csv,
-    qm_to_json,
 )
-from pathlift.cli import _write_csv
+from pathlift._codec import json_fields
+from pathlift.cli import _csv_file, _write_files
 
 # values whose shortest round-trip form is easy to get wrong
 EDGE = np.array(
@@ -62,9 +52,6 @@ def examples(dim):
     gen = np.random.default_rng(40 + dim)
     path = DyadicPath(4, edge_values(gen, (17, dim)), horizon=0.3)
     qm = QuantileMeasure(np.sort(edge_values(gen, 20)))
-    ens = ParticleEnsemble(
-        labels=edge_values(gen, (9, dim)), positions=edge_values(gen, (9, dim))
-    )
     w = gen.uniform(0.1, 1.0, 6)
     pi = PathMeasure(
         depth=3, paths=edge_values(gen, (6, 9, dim)), weights=w / w.sum()
@@ -73,8 +60,6 @@ def examples(dim):
         (path, path_to_csv, oracle.path_to_csv, path_from_csv,
          oracle.path_from_csv),
         (qm, qm_to_csv, oracle.qm_to_csv, qm_from_csv, oracle.qm_from_csv),
-        (ens, ensemble_to_csv, oracle.ensemble_to_csv, ensemble_from_csv,
-         oracle.ensemble_from_csv),
         (pi, pm_to_csv, oracle.pm_to_csv, pm_from_csv, oracle.pm_from_csv),
     ]
 
@@ -84,8 +69,6 @@ def arrays_of(obj):
         return [obj.values, np.array([obj.horizon, obj.depth])]
     if isinstance(obj, QuantileMeasure):
         return [obj.quantiles]
-    if isinstance(obj, ParticleEnsemble):
-        return [obj.labels, obj.positions]
     return [obj.paths, obj.weights, np.array([obj.depth])]
 
 
@@ -110,14 +93,11 @@ def test_writers_match_oracle_bytes_across_row_blocks():
     gen = np.random.default_rng(7)
     path = DyadicPath(13, edge_values(gen, (2 ** 13 + 1, 2)))
     qm = QuantileMeasure(np.sort(edge_values(gen, 9000)))
-    ens = ParticleEnsemble(labels=edge_values(gen, (4097, 1)),
-                           positions=edge_values(gen, (4097, 1)))
     # each path spans three blocks of grid times
     pi = PathMeasure(13, edge_values(gen, (2, 2 ** 13 + 1, 2)), [0.5, 0.5])
     for obj, write, write_ref in (
         (path, path_to_csv, oracle.path_to_csv),
         (qm, qm_to_csv, oracle.qm_to_csv),
-        (ens, ensemble_to_csv, oracle.ensemble_to_csv),
         (pi, pm_to_csv, oracle.pm_to_csv),
     ):
         assert csv_bytes(write, obj) == csv_bytes(write_ref, obj)
@@ -156,20 +136,6 @@ def test_readers_match_oracle_arrays(dim):
                              read_ref(io.StringIO(text)))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_json_readers_match_oracle(dim):
-    (path, *_), (qm, *_), (ens, *_), (pi, *_) = examples(dim)
-    for obj, to_json, read, read_ref in (
-        (path, path_to_json, path_from_json, oracle.path_from_json),
-        (qm, qm_to_json, qm_from_json, oracle.qm_from_json),
-        (ens, ensemble_to_json, ensemble_from_json, oracle.ensemble_from_json),
-        (pi, pm_to_json, pm_from_json, oracle.pm_from_json),
-    ):
-        text = json.dumps(to_json(obj))
-        assert_bit_identical(read(text), read_ref(text))
-        assert_bit_identical(read(text), obj)
-
-
 def test_cli_table_matches_oracle_bytes(tmp_path):
     header = ["name", "n", "x", "ok", 'odd, "head"']
     rows = [["a", 3, float(v), v > 0, ""] for v in EDGE]
@@ -178,7 +144,7 @@ def test_cli_table_matches_oracle_bytes(tmp_path):
         rows.append([text, 2 ** 64, -0.0, False, text])
     for x in [5e-324, 1e16, 1e-05]:
         rows.append(["x", 0, x, True, "1.5"])
-    _write_csv(tmp_path, "t.csv", header, rows)
+    _write_files(tmp_path, [_csv_file("t.csv", header, rows)])
     buf = io.StringIO()
     oracle.cli_csv(buf, header, rows)
     assert (tmp_path / "t.csv").read_bytes() == buf.getvalue().encode()
@@ -202,7 +168,7 @@ def finite_arrays(shape):
 
 @st.composite
 def codec_objects(draw):
-    kind = draw(st.sampled_from(["path", "qm", "ensemble", "pm"]))
+    kind = draw(st.sampled_from(["path", "qm", "pm"]))
     dim = draw(st.integers(1, 3))
     depth = draw(st.integers(0, 4))
     n = draw(st.integers(1, 6))
@@ -212,29 +178,22 @@ def codec_objects(draw):
                           horizon)
     if kind == "qm":
         return QuantileMeasure(np.sort(draw(finite_arrays(n))))
-    if kind == "ensemble":
-        return ParticleEnsemble(labels=draw(finite_arrays((n, dim))),
-                                positions=draw(finite_arrays((n, dim))))
     paths = draw(finite_arrays((n, 2 ** depth + 1, dim)))
     return PathMeasure(depth=depth, paths=paths, weights=np.full(n, 1.0 / n))
 
 
 CODECS = {
-    DyadicPath: (path_to_csv, path_from_csv, path_to_json, path_from_json),
-    QuantileMeasure: (qm_to_csv, qm_from_csv, qm_to_json, qm_from_json),
-    ParticleEnsemble: (ensemble_to_csv, ensemble_from_csv, ensemble_to_json,
-                       ensemble_from_json),
-    PathMeasure: (pm_to_csv, pm_from_csv, pm_to_json, pm_from_json),
+    DyadicPath: (path_to_csv, path_from_csv),
+    QuantileMeasure: (qm_to_csv, qm_from_csv),
+    PathMeasure: (pm_to_csv, pm_from_csv),
 }
 
 
 @settings(max_examples=150, deadline=None)
 @given(obj=codec_objects())
 def test_round_trips_are_exact_property(obj):
-    to_csv, from_csv, to_json, from_json = CODECS[type(obj)]
+    to_csv, from_csv = CODECS[type(obj)]
     assert_bit_identical(from_csv(io.StringIO(csv_bytes(to_csv, obj))), obj)
-    assert_bit_identical(from_json(json.dumps(to_json(obj))), obj)
-    assert_bit_identical(from_json(to_json(obj)), obj)
 
 
 def test_pm_csv_reads_rows_in_any_order():
@@ -293,8 +252,7 @@ def test_path_csv_names_the_first_bad_line(body, match):
         path_from_csv(io.StringIO("t,x_1,x_2\r\n" + body))
 
 
-@pytest.mark.parametrize("read", [path_from_csv, ensemble_from_csv,
-                                  pm_from_csv, qm_from_csv])
+@pytest.mark.parametrize("read", [path_from_csv, pm_from_csv, qm_from_csv])
 @pytest.mark.parametrize("text", ["", "\r\n", "t,x_1\r\n\r\n"])
 def test_csv_rejects_files_without_data(read, text):
     with pytest.raises(ValueError):
@@ -305,35 +263,24 @@ def test_csv_rejects_files_without_data(read, text):
 # malformed JSON fields
 
 
-@pytest.mark.parametrize("read,obj,match", [
-    (pm_from_json, {"depth": 1.9, "weights": [1.0], "paths": [[0, 1, 2]]},
-     "'depth' must be an integer"),
-    (qm_from_json, {"n": 2.7, "quantiles": [0.0, 1.0]},
-     "'n' must be an integer"),
-    (path_from_json, {"depth": "1", "values": [0.0, 1.0, 2.0]},
-     "'depth' must be an integer"),
-    (path_from_json, {"depth": 1, "horizon": "2", "values": [0.0, 1.0, 2.0]},
-     "'horizon' must be a number"),
-    (path_from_json, {"depth": True, "values": [0.0, 1.0]},
-     "'depth' must be an integer"),
-    (ensemble_from_json, {"labels": "abc", "positions": [1.0]},
-     "field 'labels'"),
-    (ensemble_from_json, [1, 2], "expected a JSON object"),
-    (qm_from_json, "{not json", "malformed quantile measure object"),
-    (pm_from_json, {"depth": 1, "weights": [1.0]}, "missing field 'paths'"),
-])
-def test_json_rejects_mistyped_fields(read, obj, match):
-    with pytest.raises(ValueError, match=match):
-        read(obj)
-
-
-def test_path_json_dim_must_match_scalar_values():
-    with pytest.raises(ValueError, match="dim field disagrees"):
-        path_from_json({"depth": 1, "dim": 3, "values": [0.0, 1.0, 2.0]})
-    path = path_from_json({"depth": 1, "dim": 1, "values": [0.0, 1.0, 2.0]})
-    assert path.dim == 1
+@pytest.mark.parametrize("obj,kinds,match", [
+    ({"depth": 1.9}, {"depth": int}, "field 'depth' must be an integer"),
+    ({"depth": "1"}, {"depth": int}, "field 'depth' must be an integer"),
+    ({"depth": True}, {"depth": int}, "field 'depth' must be an integer"),
+    ({"horizon": "2"}, {"horizon": (float, 1.0)},
+     "field 'horizon' must be a number"),
+    ({"labels": "abc"}, {"labels": list}, "field 'labels' must be a list"),
+    ({"flag": 1}, {"flag": bool}, "field 'flag' must be true or false"),
+    ([1, 2], {"depth": int}, "expected a JSON object, got list"),
+    ("{}", {"depth": int}, "expected a JSON object, got str"),
+    ({"depth": 1}, {"depth": int, "paths": list}, "missing field 'paths'"),
+], ids=["fraction", "string", "boolean", "string-number", "string-list",
+        "number-flag", "list", "text", "missing"])
+def test_json_fields_rejects_mistyped_fields(obj, kinds, match):
+    with pytest.raises(ValueError, match=f"malformed config object: {match}"):
+        json_fields(obj, "config", **kinds)
 
 
 def test_json_accepts_integral_floats():
-    path = path_from_json({"depth": 1.0, "values": [0.0, 1.0, 2.0]})
-    assert path.depth == 1 and isinstance(path.depth, int)
+    (depth,) = json_fields({"depth": 1.0}, "config", depth=int)
+    assert depth == 1 and isinstance(depth, int)

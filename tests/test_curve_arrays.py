@@ -57,7 +57,7 @@ def test_array_curve_matches_the_per_slice_build(fixture, depth, n):
     old_paths = monotone_multicoupling(slices)[:, :, None]
     weights = np.full(n, 1.0 / n)
     old_lift = PathMeasure(depth=depth, paths=old_paths, weights=weights)
-    lift = build_dyadic_lift(mp, "quantile", depth)
+    lift = build_dyadic_lift(mp, depth)
     assert np.array_equal(lift.paths, old_paths)
 
     dmat = marginal_distances(old_paths, weights, P)

@@ -364,7 +364,7 @@ def test_lift_besov_energy_matches_level_walk(depth, n, dim):
 
 def test_curve_besov_energy_matches_level_walk():
     scn = stochastic_heat_scenario(8, 8, 1024)
-    pi = build_dyadic_lift(scn.measure_path, "quantile", 8)
+    pi = build_dyadic_lift(scn.measure_path, 8)
     assert curve_besov_energy(scn.measure_path, 0.3, 4.0) == pytest.approx(
         besov_walk(pi.paths, pi.weights, 0.3, 4.0), rel=REL
     )

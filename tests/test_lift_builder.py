@@ -11,7 +11,6 @@ from scipy.special import ndtri
 from pathlift import (
     MeasurePathSample,
     NormSpec,
-    ParticleEnsemble,
     PathMeasure,
     QuantileMeasure,
     besov_seminorm,
@@ -19,16 +18,13 @@ from pathlift import (
     build_dyadic_lift,
     build_shuffled_lift,
     lift_energy,
-    marginal,
     marginal_cloud,
     marginal_curve_energy,
     marginal_wasserstein,
     midpoint_grid,
     pairwise_optimality_gap,
     pm_from_csv,
-    pm_from_json,
     pm_to_csv,
-    pm_to_json,
     refine_and_track,
     tightness_diagnostic,
     wasserstein_p,
@@ -90,24 +86,6 @@ class TestPathMeasure:
         assert pi.dim == 1
         assert pi.n_paths == 2
 
-    def test_from_paths_requires_shared_shape(self):
-        from pathlift import DyadicPath
-
-        a = DyadicPath(1, np.zeros(3))
-        b = DyadicPath(2, np.zeros(5))
-        with pytest.raises(ValueError):
-            PathMeasure.from_paths([a, b])
-        pi = PathMeasure.from_paths([a, a, a])
-        assert pi.uniform_weights()
-        assert np.array_equal(pi.path(1).values, a.values)
-
-    def test_from_paths_rejects_other_horizons(self):
-        from pathlift import DyadicPath
-
-        stretched = DyadicPath(1, np.zeros(3), horizon=2.0)
-        with pytest.raises(ValueError, match="horizon"):
-            PathMeasure.from_paths([stretched])
-
 
 class TestMeasurePathSample:
     def test_point_count_must_be_dyadic(self):
@@ -124,16 +102,9 @@ class TestMeasurePathSample:
         with pytest.raises(ValueError, match="grid"):
             MeasurePathSample(skewed, np.zeros((17, 4)))
 
-    def test_kinds_must_be_uniform(self):
-        e = ParticleEnsemble(labels=np.zeros(4), positions=np.zeros(4))
-        qs = [QuantileMeasure(np.zeros(4)), e, QuantileMeasure(np.zeros(4))]
-        with pytest.raises(ValueError, match="uniformly"):
-            MeasurePathSample.from_measures(qs)
-
     def test_level_and_kind_flags(self):
         mp = heat_sample(3)
         assert mp.level == 3
-        assert mp.is_quantile
 
     def test_unsorted_row_names_its_slice(self):
         atoms = np.tile(np.arange(4.0), (5, 1))
@@ -163,7 +134,7 @@ class TestMeasurePathSample:
 
     def test_atoms_are_read_only_and_shared_with_the_quantile_lift(self):
         mp = heat_sample(2)
-        pi = build_dyadic_lift(mp, "quantile", 2)
+        pi = build_dyadic_lift(mp, 2)
         assert np.shares_memory(pi.paths, mp.atoms)
         with pytest.raises(ValueError, match="read-only"):
             pi.paths[0, 1, 0] = 5.0
@@ -180,14 +151,16 @@ class TestMeasurePathSample:
 
 def test_quantile_lift_reproduces_marginals_exactly():
     mp = heat_sample(2)
-    pi = build_dyadic_lift(mp, "quantile", 2)
+    pi = build_dyadic_lift(mp, 2)
     assert pi.paths.shape == (16, 5, 1)
     for k, t in enumerate(mp.times):
-        assert np.array_equal(marginal(pi, t).quantiles, mp.atoms[k, :, 0])
+        assert np.array_equal(
+            np.sort(marginal_cloud(pi, t)[0][:, 0]), mp.atoms[k, :, 0]
+        )
 
 
 def test_quantile_lift_pairwise_couplings_are_optimal():
-    pi = build_dyadic_lift(heat_sample(3), "quantile", 3)
+    pi = build_dyadic_lift(heat_sample(3), 3)
     for s, t in ((0.0, 1.0), (0.25, 0.375), (0.5, 0.75)):
         gap = pairwise_optimality_gap(pi, s, t, 2.0)
         assert abs(gap.gap) <= 1e-12
@@ -196,47 +169,12 @@ def test_quantile_lift_pairwise_couplings_are_optimal():
 
 def test_lift_level_must_match_sample():
     with pytest.raises(ValueError, match="time points"):
-        build_dyadic_lift(heat_sample(2), "quantile", 3)
-
-
-def test_coupler_kind_mismatch():
-    mp = heat_sample(1)
-    with pytest.raises(ValueError):
-        build_dyadic_lift(mp, "nu_based", 1)
-    with pytest.raises(ValueError, match="unknown coupler"):
-        build_dyadic_lift(mp, "sinkhorn", 1)
-
-
-def test_nu_based_lift_stacks_positions():
-    gen = np.random.default_rng(0)
-    labels = gen.standard_normal((8, 2))
-    times = np.linspace(0.0, 1.0, 3)
-    ensembles = [
-        ParticleEnsemble(labels=labels, positions=(1.0 + t) * labels)
-        for t in times
-    ]
-    mp = MeasurePathSample.from_measures(ensembles)
-    assert not mp.is_quantile
-    pi = build_dyadic_lift(mp, "nu_based", 1)
-    assert pi.paths.shape == (8, 3, 2)
-    for k in range(3):
-        assert np.array_equal(pi.paths[:, k, :], ensembles[k].positions)
-
-
-def test_nu_based_lift_needs_shared_labels():
-    # one shared label array per curve: ensembles over different labels
-    # cannot form a curve, so they never reach the nu-based coupler
-    gen = np.random.default_rng(1)
-    mk = lambda: ParticleEnsemble(
-        labels=gen.standard_normal((4, 1)), positions=np.zeros((4, 1))
-    )
-    with pytest.raises(ValueError, match=r"slice k=1 .*labels"):
-        MeasurePathSample.from_measures([mk(), mk(), mk()])
+        build_dyadic_lift(heat_sample(2), 3)
 
 
 def test_shuffled_lift_keeps_marginals_and_loses_optimality():
     mp = heat_sample(3)
-    quant = build_dyadic_lift(mp, "quantile", 3)
+    quant = build_dyadic_lift(mp, 3)
     shuf = build_shuffled_lift(mp, seed=7)
     for k, t in enumerate(mp.times):
         assert np.array_equal(
@@ -297,12 +235,10 @@ def test_single_path_energy_is_the_seminorm_power():
         assert lift_energy(pi, spec) == pytest.approx(expected, rel=1e-12)
 
 
-def test_marginal_needs_uniform_weights_in_1d():
+def test_marginal_cloud_keeps_nonuniform_weights():
     pi = PathMeasure(
         depth=1, paths=np.zeros((2, 3, 1)), weights=np.array([0.3, 0.7])
     )
-    with pytest.raises(ValueError, match="marginal_cloud"):
-        marginal(pi, 0.5)
     values, weights = marginal_cloud(pi, 0.5)
     assert values.shape == (2, 1)
     assert np.array_equal(weights, [0.3, 0.7])
@@ -312,7 +248,7 @@ def test_marginal_returns_cloud_for_d2():
     pi = PathMeasure(
         depth=1, paths=np.ones((2, 3, 2)), weights=np.array([0.5, 0.5])
     )
-    values, weights = marginal(pi, 1.0)
+    values, weights = marginal_cloud(pi, 1.0)
     assert values.shape == (2, 2)
 
 
@@ -321,14 +257,14 @@ def test_marginal_requires_grid_time():
         depth=1, paths=np.zeros((1, 3, 1)), weights=np.array([1.0])
     )
     with pytest.raises(ValueError, match="dyadic time"):
-        marginal(pi, 0.3)
+        marginal_cloud(pi, 0.3)
 
 
 def test_marginal_wasserstein_closed_form():
     # straight lines 0 -> q_j: marginal at t is t * mu, so
     # W_p(mu_s, mu_t) = |t - s| * W_p(delta_0, mu)
     mp = heat_sample(0)  # just endpoints delta_0, N(0,1)
-    pi = build_dyadic_lift(mp, "quantile", 0)
+    pi = build_dyadic_lift(mp, 0)
     w = marginal_wasserstein(pi, 0.0, 1.0, 2.0)
     assert w == pytest.approx(float(np.mean(BASE ** 2)) ** 0.5, rel=1e-12)
 
@@ -339,7 +275,7 @@ def test_marginal_wasserstein_closed_form():
 
 def test_quantile_lift_attains_the_besov_curve_energy():
     # the energy identity that makes the quantile lift canonical
-    pi = build_dyadic_lift(heat_sample(4), "quantile", 4)
+    pi = build_dyadic_lift(heat_sample(4), 4)
     spec = NormSpec(kind="besov", p=2.0, alpha=0.6)
     assert lift_energy(pi, spec) == pytest.approx(
         marginal_curve_energy(pi, spec), rel=1e-12
@@ -394,7 +330,7 @@ def test_curve_energy_never_exceeds_lift_energy_property(pi, p, alpha, gamma):
 
 
 def test_curve_energy_rejects_frac_sobolev():
-    pi = build_dyadic_lift(heat_sample(1), "quantile", 1)
+    pi = build_dyadic_lift(heat_sample(1), 1)
     with pytest.raises(ValueError, match="besov, holder and pvar"):
         marginal_curve_energy(pi, NormSpec(kind="frac_sobolev", p=2.0, alpha=0.6))
 
@@ -438,7 +374,7 @@ def test_refine_and_track_heat_curve():
     for a, b in zip(rows, rows[1:]):
         assert a.energy <= b.energy + 1e-12
     assert all(r.ok for r in rows)
-    finest = build_dyadic_lift(heat_sample(5), "quantile", 5)
+    finest = build_dyadic_lift(heat_sample(5), 5)
     expected = bound_factor(0.6, 2.0) * marginal_curve_energy(finest, spec)
     assert rows[0].bound == pytest.approx(expected, rel=1e-12)
 
@@ -462,7 +398,7 @@ def test_refine_track_row_flags_violations():
 def test_tightness_straight_lines():
     # x_j(t) = q_j t: level-m moment is mean|q|^p 2^{-mp}, so the ratio
     # mean|q|^p 2^{-mp(1-gamma)} peaks at the root level
-    pi = build_dyadic_lift(heat_sample(3, scale=0.0), "quantile", 3)
+    pi = build_dyadic_lift(heat_sample(3, scale=0.0), 3)
     lines = PathMeasure(
         depth=3,
         paths=BASE[:, None, None] * np.linspace(0, 1, 9)[None, :, None],
@@ -476,7 +412,7 @@ def test_tightness_straight_lines():
 
 
 def test_tightness_validation():
-    pi = build_dyadic_lift(heat_sample(1), "quantile", 1)
+    pi = build_dyadic_lift(heat_sample(1), 1)
     with pytest.raises(ValueError):
         tightness_diagnostic([], 2.0, 0.75)
     with pytest.raises(ValueError):
@@ -487,15 +423,6 @@ def test_tightness_validation():
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def test_pm_json_roundtrip_exact():
-    gen = np.random.default_rng(31)
-    pi = random_path_measure(gen)
-    clone = pm_from_json(pm_to_json(pi))
-    assert clone.depth == pi.depth
-    assert np.array_equal(clone.paths, pi.paths)
-    assert np.array_equal(clone.weights, pi.weights)
 
 
 def test_pm_csv_roundtrip_exact():
@@ -529,7 +456,3 @@ def test_pm_csv_path_ids_must_be_dense():
     with pytest.raises(ValueError, match="0..N-1"):
         pm_from_csv(io.StringIO(csv_text))
 
-
-def test_pm_json_validation():
-    with pytest.raises(ValueError):
-        pm_from_json({"depth": 1, "weights": [1.0]})

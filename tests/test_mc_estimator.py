@@ -10,8 +10,6 @@ from pathlift import (
     NormSpec,
     PathMeasure,
     QuantileMeasure,
-    average_lift,
-    brownian_bundle,
     build_dyadic_lift,
     build_shuffled_lift,
     compare_lifts,
@@ -120,7 +118,7 @@ def test_expected_wp_is_seed_driven():
 
 def test_curve_besov_energy_matches_lift_identity():
     mp = heat_flow_path(4, 32)
-    pi = build_dyadic_lift(mp, "quantile", 4)
+    pi = build_dyadic_lift(mp, 4)
     assert curve_besov_energy(mp, 0.6, 2.0) == pytest.approx(
         lift_energy(pi, SPEC), rel=1e-12
     )
@@ -133,7 +131,7 @@ def test_curve_besov_energy_matches_lift_identity():
 ])
 def test_curve_energy_agrees_with_lift_marginal_route(kind, extra):
     mp = she_curve(5)
-    pi = build_dyadic_lift(mp, "quantile", 4)
+    pi = build_dyadic_lift(mp, 4)
     spec = NormSpec(kind=kind, p=2.0, **extra)
     assert curve_energy(mp, spec) == pytest.approx(
         marginal_curve_energy(pi, spec), rel=1e-12
@@ -155,7 +153,7 @@ def test_process_besov_energy_deterministic():
 
 
 def test_expected_lift_energy_deterministic():
-    pi = build_dyadic_lift(heat_flow_path(3, 16), "quantile", 3)
+    pi = build_dyadic_lift(heat_flow_path(3, 16), 3)
     cfg = McConfig(n_mc=3, base_seed=8)
     est = expected_lift_energy(lambda seed: pi, SPEC, cfg)
     assert est.mean == pytest.approx(lift_energy(pi, SPEC), rel=1e-14)
@@ -266,7 +264,7 @@ def _fails_at(i, cfg, good, bad):
 def _curve_2d(seed):
     mp = she_curve(seed)
     atoms = np.concatenate([mp.atoms, mp.atoms], axis=2)
-    return MeasurePathSample(mp.times, atoms, labels=np.zeros(atoms.shape[1:]))
+    return MeasurePathSample(mp.times, atoms)
 
 
 def _bad_weights(seed):
@@ -361,48 +359,6 @@ def test_expected_wp_rows_replay_alone(monkeypatch):
         mu, nu = sampler(_rng.derive_seed(cfg.base_seed, i))
         w_pp = np.float64(wasserstein_p(mu, nu, 3.0) ** 3.0)
         assert values[i].tobytes() == w_pp.tobytes(), i
-
-
-# ---------------------------------------------------------------------------
-# average_lift
-
-
-def test_average_lift_pools_paths_and_weights():
-    pi = build_dyadic_lift(heat_flow_path(3, 8), "quantile", 3)
-    cfg = McConfig(n_mc=4, base_seed=15)
-    pooled = average_lift(lambda seed: pi, cfg)
-    assert pooled.n_paths == 32
-    assert float(pooled.weights.sum()) == pytest.approx(1.0, abs=1e-12)
-    # energy is linear in the measure, so pooling identical lifts is a no-op
-    assert lift_energy(pooled, SPEC) == pytest.approx(
-        lift_energy(pi, SPEC), rel=1e-12
-    )
-
-
-def test_average_lift_runs_consistency_checks_in_1d():
-    cfg = McConfig(n_mc=3, base_seed=16)
-    pooled = average_lift(she_quantile_lift, cfg)
-    assert pooled.n_paths == 48
-
-
-def test_average_lift_dim_2():
-    cfg = McConfig(n_mc=3, base_seed=17)
-    pooled = average_lift(
-        lambda seed: brownian_bundle(seed, depth=2, count=5, dim=2), cfg
-    )
-    assert pooled.n_paths == 15
-    assert pooled.dim == 2
-
-
-def test_average_lift_shape_mismatch():
-    counter = {"calls": 0}
-
-    def sampler(seed):
-        counter["calls"] += 1
-        return brownian_bundle(seed, depth=2, count=counter["calls"])
-
-    with pytest.raises(ValueError, match="share depth"):
-        average_lift(sampler, McConfig(n_mc=2, base_seed=18))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Brownian fixtures, particle representations and the SDE integrator."""
 
 import dataclasses
-import json
 import os
 import subprocess
 import sys
@@ -18,7 +17,6 @@ from pathlift import (
     DivergenceError,
     NormSpec,
     ParabolicityError,
-    ParticleEnsemble,
     PathMeasure,
     QuantileMeasure,
     ScenarioSample,
@@ -33,12 +31,11 @@ from pathlift import (
     heat_flow_path,
     independent_particle_paths,
     lift_energy,
-    marginal,
+    marginal_cloud,
     midpoint_grid,
     parabolicity_and_alpha,
     preset_names,
     quantile_particle_paths,
-    scenario_to_json,
     sfpe_holder_exponent,
     sfpe_p_energy,
     stochastic_heat_scenario,
@@ -46,7 +43,6 @@ from pathlift import (
 )
 import pathlift
 from pathlift import _rng, cli, processes
-from pathlift.lift_builder import MeasurePathSample
 from pathlift.processes import _bridge_values
 from process_oracles import euler_flow_loop
 
@@ -288,7 +284,6 @@ def test_heat_flow_path_structure():
     mp = heat_flow_path(3, 16)
     assert mp.level == 3
     assert mp.atoms.shape == (9, 16, 1)
-    assert mp.is_quantile
     assert np.array_equal(mp.atoms[0, :, 0], np.zeros(16))
 
 
@@ -311,7 +306,8 @@ def test_scenario_with_lift_attaches_exact_marginals():
     assert s.lift is not None
     for k, t in enumerate(s.measure_path.times):
         assert np.array_equal(
-            marginal(s.lift, t).quantiles, s.measure_path.atoms[k, :, 0]
+            np.sort(marginal_cloud(s.lift, t)[0][:, 0]),
+            s.measure_path.atoms[k, :, 0],
         )
 
 
@@ -844,22 +840,6 @@ def test_sfpe_energy_sees_the_measure_argument():
     assert e == pytest.approx(0.5 * m2, rel=1e-12)
 
 
-def test_sfpe_energy_particle_branch_d2():
-    labels = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
-    ensembles = [
-        ParticleEnsemble(labels=labels, positions=labels) for _ in range(3)
-    ]
-    mp = MeasurePathSample.from_measures(ensembles)
-    e = sfpe_p_energy(
-        [mp],
-        b_eval=lambda t, xs: np.zeros_like(xs),
-        a_eval=lambda t, xs: np.eye(2),
-        p=2.0,
-    )
-    # |I_2|_F^2 = 2, time integral 2, square root
-    assert e == pytest.approx(np.sqrt(2.0), rel=1e-12)
-
-
 def test_sfpe_energy_validation():
     mp = heat_flow_path(1, 2)
     zero_b = lambda t, xs: np.zeros_like(xs)
@@ -875,7 +855,7 @@ def test_sfpe_energy_validation():
 def test_sfpe_holder_exponent_window():
     two = sfpe_holder_exponent(2.0)
     assert two.gamma == 0.25
-    assert two.window_empty
+    assert two.window is None
     four = sfpe_holder_exponent(4.0)
     assert four.gamma == 0.375
     assert four.window == (0.25, 0.375)
@@ -884,7 +864,7 @@ def test_sfpe_holder_exponent_window():
 
 
 # ---------------------------------------------------------------------------
-# presets and serialization
+# presets
 
 
 def test_preset_catalogue():
@@ -900,11 +880,3 @@ def test_form1_coefficient_shapes():
     assert np.array_equal(coeffs.diffusion_a(0.5, x, x), np.eye(2))
     assert np.array_equal(coeffs.common_sigma(0.5, x, x), np.eye(2))
 
-
-def test_scenario_json_is_serializable():
-    s = stochastic_heat_scenario(seed=26, depth=2, n=4)
-    obj = scenario_to_json(s)
-    assert set(obj) == {"seed", "depth", "W", "marginals"}
-    assert len(obj["W"]) == 5
-    assert len(obj["marginals"]) == 5
-    json.dumps(obj)

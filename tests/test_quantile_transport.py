@@ -12,17 +12,11 @@ from scipy.stats import wasserstein_distance
 from pathlift import (
     MonotoneCoupling,
     QuantileMeasure,
-    cdf_eval,
-    from_samples,
-    generalized_inverse_eval,
     midpoint_grid,
     monotone_coupling,
     monotone_multicoupling,
     qm_from_csv,
-    qm_from_json,
     qm_to_csv,
-    qm_to_json,
-    regrid,
     wasserstein_p,
     wasserstein_p_clouds,
 )
@@ -116,38 +110,6 @@ class TestQuantileMeasure:
         assert m.mean() == 2.0
 
 
-def test_from_samples_sorts():
-    m = from_samples([3.0, -1.0, 2.0, 2.0])
-    assert np.array_equal(m.quantiles, [-1.0, 2.0, 2.0, 3.0])
-
-
-def test_generalized_inverse_left_continuous():
-    m = QuantileMeasure(np.array([1.0, 2.0, 3.0, 4.0]))
-    # atom j covers levels ((j-1)/N, j/N]
-    assert generalized_inverse_eval(m, 0.25) == 1.0
-    assert generalized_inverse_eval(m, 0.26) == 2.0
-    assert generalized_inverse_eval(m, 0.75) == 3.0
-    assert generalized_inverse_eval(m, 0.999) == 4.0
-    for bad in (0.0, 1.0, -0.1):
-        with pytest.raises(ValueError):
-            generalized_inverse_eval(m, bad)
-
-
-def test_cdf_eval_steps():
-    m = QuantileMeasure(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert cdf_eval(m, 0.5) == 0.0
-    assert cdf_eval(m, 1.0) == 0.25
-    assert cdf_eval(m, 2.5) == 0.5
-    assert cdf_eval(m, 4.0) == 1.0
-    assert cdf_eval(m, 9.0) == 1.0
-
-
-def test_inverse_cdf_galois():
-    m = random_measure(0, 17)
-    for u in (0.01, 0.3, 0.5, 0.77, 0.99):
-        assert cdf_eval(m, generalized_inverse_eval(m, u)) >= u - 1e-12
-
-
 # ---------------------------------------------------------------------------
 # W_p, equal weights
 
@@ -166,7 +128,7 @@ def test_wasserstein_zero_on_identical():
 
 def test_wasserstein_validation():
     m = random_measure(3, 4)
-    with pytest.raises(ValueError, match="regrid"):
+    with pytest.raises(ValueError, match="wasserstein_p_clouds"):
         wasserstein_p(m, random_measure(3, 5), 2.0)
     with pytest.raises(ValueError):
         wasserstein_p(m, m, 0.5)
@@ -312,51 +274,7 @@ def test_multicoupling_validation():
 
 
 # ---------------------------------------------------------------------------
-# regrid
-
-
-def test_regrid_identity_at_same_size():
-    m = random_measure(14, 10)
-    assert np.array_equal(regrid(m, 10).quantiles, m.quantiles)
-
-
-def test_regrid_to_multiple_preserves_measure():
-    m = random_measure(15, 6)
-    fine = regrid(m, 18)
-    w_coarse = np.full(6, 1.0 / 6)
-    w_fine = np.full(18, 1.0 / 18)
-    # not exactly 0: cumsum(1/18 * 3) and 1/6 differ in the last ulp, which
-    # leaves sliver segments of width ~1e-16; the p-th root amplifies them
-    assert wasserstein_p_clouds(
-        m.quantiles, w_coarse, fine.quantiles, w_fine, 2.0
-    ) < 1e-8
-
-
-def test_regrid_error_bounded_by_spacing():
-    m = random_measure(16, 7)
-    coarse = regrid(m, 5)
-    gap = float(np.max(np.abs(np.diff(m.quantiles))))
-    w7, w5 = np.full(7, 1 / 7), np.full(5, 0.2)
-    assert wasserstein_p_clouds(
-        m.quantiles, w7, coarse.quantiles, w5, 1.0
-    ) <= gap + 1e-12
-
-
-# ---------------------------------------------------------------------------
 # serialization
-
-
-def test_json_roundtrip():
-    m = random_measure(17, 13)
-    clone = qm_from_json(qm_to_json(m))
-    assert np.array_equal(clone.quantiles, m.quantiles)
-
-
-def test_json_validation():
-    with pytest.raises(ValueError):
-        qm_from_json({"n": 3, "quantiles": [0.0, 1.0]})
-    with pytest.raises(ValueError):
-        qm_from_json({"quantiles": [0.0, 1.0]})
 
 
 def test_csv_roundtrip_exact():
