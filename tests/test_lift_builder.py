@@ -235,10 +235,13 @@ def test_single_path_energy_is_the_seminorm_power():
         assert lift_energy(pi, spec) == pytest.approx(expected, rel=1e-12)
 
 
-def test_marginal_cloud_keeps_nonuniform_weights():
+def test_marginal_needs_uniform_weights_in_1d():
+    # only uniform weights give a 1-d marginal an equal-weight quantile
+    # form; other weights come back as the weighted cloud
     pi = PathMeasure(
         depth=1, paths=np.zeros((2, 3, 1)), weights=np.array([0.3, 0.7])
     )
+    assert not pi.uniform_weights()
     values, weights = marginal_cloud(pi, 0.5)
     assert values.shape == (2, 1)
     assert np.array_equal(weights, [0.3, 0.7])
