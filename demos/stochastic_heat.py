@@ -45,7 +45,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     spec = NormSpec(kind="besov", p=P, alpha=ALPHA)
-    cfg = McConfig(n_mc=args.n_mc, base_seed=args.seed, depth=DEPTH)
+    cfg = McConfig(n_mc=args.n_mc, base_seed=args.seed)
 
     scn = stochastic_heat_scenario(args.seed, DEPTH, ATOMS, with_lift=True)
     print(f"one scenario (seed {args.seed}):")

@@ -1,7 +1,8 @@
 """Command-line driver: norms, transports, lifts, demos, SDE runs.
 
 Each subcommand reads a single JSON config (``--config``), with
-``--seed``/``--out``/``--preset`` as overrides, and writes plain CSV and
+``--seed``/``--out`` as overrides (and ``--preset`` for ``demo`` and
+``sde``, the two commands with presets), and writes plain CSV and
 JSON for external plotting; no images are rendered here. Outputs are a
 deterministic function of (config, seed): files carry no timestamps,
 floats are written in shortest round-trip form, and reruns are
@@ -65,6 +66,7 @@ from .processes import (
     coefficient_preset,
     euler_flow,
     gaussian_quantile,
+    heat_flow_marginal,
     heat_flow_path,
     preset_names,
     quantile_particle_paths,
@@ -196,9 +198,7 @@ class _Fixture:
             lambda depth: heat_flow_path(depth, n_atoms)
         )
         self._heat_marginals = functools.lru_cache(maxsize=1)(
-            lambda s, t: tuple(
-                QuantileMeasure(np.sqrt(u) * self._c) for u in (s, t)
-            )
+            lambda s, t: tuple(heat_flow_marginal(u, n_atoms) for u in (s, t))
         )
 
     def curve(self, seed, depth):
@@ -238,7 +238,7 @@ class _Fixture:
 # subcommands
 
 
-def _cmd_norms(config, out_dir, seed, preset):
+def _cmd_norms(config, out_dir, seed):
     _check_keys(config, {"input", "norms"}, "norms")
     inputs = config.get("input")
     if isinstance(inputs, str):
@@ -279,7 +279,7 @@ def _cmd_norms(config, out_dir, seed, preset):
     return 0
 
 
-def _cmd_ot(config, out_dir, seed, preset):
+def _cmd_ot(config, out_dir, seed):
     *fnames, p = _fields(config, "ot", mu=str, nu=str, p=(float, 2.0))
     measures = {}
     for key, fname in zip(("mu", "nu"), fnames):
@@ -308,7 +308,7 @@ def _cmd_ot(config, out_dir, seed, preset):
     return 0
 
 
-def _cmd_lift(config, out_dir, seed, preset):
+def _cmd_lift(config, out_dir, seed):
     fixture, depth, n_atoms, alpha, p, dump_paths = _fields(
         config, "lift", fixture=(str, "heat"), depth=(int, 6),
         n_atoms=(int, 256), alpha=(float, 0.6), p=(float, 2.0),
@@ -395,7 +395,7 @@ def _cmd_demo(config, out_dir, seed, preset):
         raise ConfigError("need 0 < lag_k_min <= lag_k_max <= depth")
     _dyadic_index(s, depth, "s")
     spec = NormSpec(kind="besov", p=p, alpha=alpha)
-    cfg = McConfig(n_mc=n_mc, base_seed=seed, depth=depth, n_atoms=n_atoms)
+    cfg = McConfig(n_mc=n_mc, base_seed=seed)
     # the independent lifts, the lags and wp_01 each walk every seed's W
     fx = _Fixture(preset, n_atoms, n_seeds=n_mc)
 
@@ -571,7 +571,7 @@ def _cmd_sde(config, out_dir, seed, preset):
     return 0
 
 
-def _cmd_estimate(config, out_dir, seed, preset):
+def _cmd_estimate(config, out_dir, seed):
     (target, fixture, p, alpha, s, t, n_mc, depth, n_atoms, lift_kind,
      count) = _fields(
         config, "estimate", target=(str, None), fixture=(str, "she"),
@@ -584,7 +584,9 @@ def _cmd_estimate(config, out_dir, seed, preset):
             "target must be one of wp, besov_energy, lift_energy"
         )
     fx = _Fixture(fixture, n_atoms)
-    cfg = McConfig(n_mc=n_mc, base_seed=seed, depth=depth, n_atoms=n_atoms)
+    if depth < 0:
+        raise ConfigError("depth must be nonnegative")
+    cfg = McConfig(n_mc=n_mc, base_seed=seed)
 
     if target == "wp":
         _dyadic_index(s, depth, "s")
@@ -606,6 +608,7 @@ def _cmd_estimate(config, out_dir, seed, preset):
         extra = {"alpha": alpha, "lift": lift_kind}
 
     payload = estimate_to_json(est, cfg)
+    payload["config"].update(depth=depth, n_atoms=n_atoms)
     payload.update(extra)
     payload["spec_version"] = SPEC_VERSION
     payload["target"] = target
@@ -660,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base seed (overrides the config)")
         sp.add_argument("--out", metavar="DIR",
                         help="output directory (overrides the config)")
-        sp.add_argument("--preset", metavar="NAME",
-                        help="preset name (demo and sde)")
+        if name in ("demo", "sde"):
+            sp.add_argument("--preset", metavar="NAME", help="preset name")
     return ap
 
 
@@ -676,7 +679,8 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         seed = seed if args.seed is None else args.seed
         config = {k: v for k, v in config.items() if k not in ("out", "seed")}
-        return _DISPATCH[args.command](config, out_dir, seed, args.preset)
+        preset = {"preset": args.preset} if "preset" in args else {}
+        return _DISPATCH[args.command](config, out_dir, seed, **preset)
     except MathPreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

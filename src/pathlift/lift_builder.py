@@ -21,7 +21,7 @@ one atom of weight 1 whose pair cost is W_p^p between slices, in place of
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -132,53 +132,43 @@ class MeasurePathSample:
     """A measure curve on R at the level-n dyadic grid times (K = 2^n + 1).
 
     atoms (K, N, 1) holds the N equal-weight atoms of slice k in row k,
-    sorted: the quantile function of slice k. A (K, N) array is read as
-    (K, N, 1). Validated once with no float copy, naming the first bad
-    slice; it keeps a read-only view, which its quantile lift shares.
+    sorted: the quantile function of slice k at t_k = k/2^n. A (K, N)
+    array is read as (K, N, 1). Validated once with no float copy, naming
+    the first bad slice; it keeps a read-only view, which its quantile
+    lift shares.
     """
 
-    times: np.ndarray
     atoms: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
         atoms = np.asarray(self.atoms, dtype=float).view()
         if atoms.ndim == 2:
             atoms = atoms[:, :, None]
-        k = times.size
-        if atoms.ndim != 3 or atoms.size == 0 or times.shape != (len(atoms),):
-            raise ValueError("atoms must be nonempty (K, N, 1), K = len(times)")
+        if atoms.ndim != 3 or atoms.size == 0:
+            raise ValueError("atoms must be a nonempty (K, N, 1) array")
+        k = len(atoms)
         if k < 2 or (k - 1) & (k - 2):
             raise ValueError("number of time points must be 2^n + 1")
-        if not np.allclose(times, np.linspace(0.0, 1.0, k), rtol=0, atol=1e-12):
-            raise ValueError("times must be the dyadic level-n grid of [0, 1]")
+        object.__setattr__(self, "atoms", atoms)
         if not np.isfinite(atoms).all():
-            where = _at(times, np.argmin(np.isfinite(atoms).all(axis=(1, 2))))
-            raise ValueError(f"{where}: atoms must be finite")
+            bad = np.argmin(np.isfinite(atoms).all(axis=(1, 2)))
+            raise ValueError(f"{_at(self.times, bad)}: atoms must be finite")
         if atoms.shape[2] != 1:
             raise ValueError("a quantile curve has one-dimensional marginals")
         unsorted = (atoms[:, 1:, 0] < atoms[:, :-1, 0]).any(axis=1)
         if unsorted.any():
-            where = _at(times, np.argmax(unsorted))
-            raise ValueError(f"{where}: quantiles must be nondecreasing")
+            raise ValueError(f"{_at(self.times, np.argmax(unsorted))}: "
+                             "quantiles must be nondecreasing")
         atoms.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "atoms", atoms)
 
-    @classmethod
-    def from_measures(cls, measures: Sequence) -> "MeasurePathSample":
-        """Stack per-slice QuantileMeasure objects of one atom count."""
-        rows = [m.quantiles for m in measures]
-        times = np.linspace(0.0, 1.0, len(rows))
-        for k, row in enumerate(rows):
-            if row.size != rows[0].size:
-                raise ValueError(f"{_at(times, k)}: {row.size} atoms, "
-                                 f"slice 0 has {rows[0].size}")
-        return cls(times, np.stack(rows))
+    @property
+    def times(self) -> np.ndarray:
+        """The grid times k/2^n, k = 0..K-1."""
+        return np.linspace(0.0, 1.0, len(self.atoms))
 
     @property
     def level(self) -> int:
-        return (self.times.size - 1).bit_length() - 1
+        return (len(self.atoms) - 1).bit_length() - 1
 
 
 def build_dyadic_lift(mp: MeasurePathSample, n: int) -> PathMeasure:
@@ -192,7 +182,7 @@ def build_dyadic_lift(mp: MeasurePathSample, n: int) -> PathMeasure:
     """
     if mp.level != n:
         raise ValueError(f"level-{n} lift needs {2 ** n + 1} time points, "
-                         f"got {mp.times.size}")
+                         f"got {len(mp.atoms)}")
     n_atoms = mp.atoms.shape[1]
     return PathMeasure(
         depth=n,
@@ -380,7 +370,7 @@ class RefineTrackRow:
     n: int
     energy: float
     bound: float
-    marginal_energy: Optional[float] = None
+    marginal_energy: float
 
     @property
     def ok(self) -> bool:
@@ -473,8 +463,8 @@ def pm_to_csv(pi: PathMeasure, f: TextIO) -> None:
     ))
 
 
-def pm_from_csv(f: TextIO, weights=None) -> PathMeasure:
-    """Read the long CSV format back (weights default to uniform)."""
+def pm_from_csv(f: TextIO) -> PathMeasure:
+    """Read the long CSV format back as an equal-weight path measure."""
     header, arr = read_table(f)
     if header[:2] != ["path_id", "t"] or len(header) < 3:
         raise ValueError("expected columns path_id, t, x_1..")
@@ -485,6 +475,5 @@ def pm_from_csv(f: TextIO, weights=None) -> PathMeasure:
         raise ValueError("every path_id must have the same number of rows")
     order = np.lexsort((arr[:, 1], arr[:, 0]))
     rows = arr[order].reshape(ids.size, -1, len(header))
-    if weights is None:
-        weights = np.full(ids.size, 1.0 / ids.size)
+    weights = np.full(ids.size, 1.0 / ids.size)
     return PathMeasure(grid_depth(rows[:, :, 1], 1.0), rows[:, :, 2:], weights)

@@ -53,20 +53,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample count, base seed and fixture resolution for one experiment."""
+    """Sample count and base seed of one experiment; each sampler fixes
+    its own resolution."""
 
     n_mc: int
     base_seed: int
-    depth: int = 8
-    n_atoms: int = 256
 
     def __post_init__(self):
         if self.n_mc < 1:
             raise ValueError("n_mc must be at least 1")
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be positive")
 
 
 @dataclass(frozen=True)
@@ -166,17 +161,15 @@ _SPOT_CHECK_TIMES = (0.25, 0.5, 1.0)
 _SPOT_CHECK_TOL = 1e-8
 
 
-def _spot_check(
-    pi: PathMeasure, slices: np.ndarray, p: float, label: str, tol: float
-):
-    """W_p(lift marginal, curve atoms slices[k]) <= tol at three times."""
+def _spot_check(pi: PathMeasure, slices: np.ndarray, p: float, label: str):
+    """W_p(lift marginal, curve atoms slices[k]) <= 1e-8 at three times."""
     depth = (slices.shape[0] - 1).bit_length() - 1
     for t in _SPOT_CHECK_TIMES:
         ys = slices[_grid_index(t, depth)]
         wy = np.full(ys.size, 1.0 / ys.size)
         xs, wx = marginal_cloud(pi, t)
         dist = wasserstein_p_clouds(xs[:, 0], wx, ys, wy, p)
-        if dist > tol:
+        if dist > _SPOT_CHECK_TOL:
             raise ValueError(
                 f"lift {label!r} does not match the marginal family at "
                 f"t={t}: W_p={dist:.3e}"
@@ -208,19 +201,17 @@ def compare_lifts(
     marginal_sampler: Callable,
     spec: NormSpec,
     cfg: McConfig,
-    marginal_tol: float = _SPOT_CHECK_TOL,
 ) -> LiftComparison:
     """Energy comparison of two lifts of one marginal family.
 
     Per scenario, both sampled lifts are spot-checked against the sampled
-    curve (W_p <= marginal_tol at three dyadic times; mismatch raises).
-    The default 1e-8 expects exact-marginal lifts; pass a looser value
-    when a lift reproduces the family only statistically, as the
-    finite-count independent representation does. Reports the two
-    expected lift energies and the expected curve energy, plus flags:
-    lower_bound_ok (neither lift undercuts the curve energy beyond
-    tolerance), which lift is smaller, and whether the smaller one
-    attains the curve energy within relative 1e-3 + 3 standard errors.
+    curve (W_p <= 1e-8 at three dyadic times; mismatch raises), so both
+    must reproduce the family exactly, which the finite-count independent
+    representation does not. Reports the two expected lift energies and
+    the expected curve energy, plus flags: lower_bound_ok (neither lift
+    undercuts the curve energy beyond tolerance), which lift is smaller,
+    and whether the smaller one attains the curve energy within relative
+    1e-3 + 3 standard errors.
     """
     def scenario(seed):
         mp = marginal_sampler(seed)
@@ -228,8 +219,8 @@ def compare_lifts(
         slices = mp.atoms[:, :, 0]
         pi_a = sampler_a(seed)
         pi_b = sampler_b(seed)
-        _spot_check(pi_a, slices, spec.p, "a", marginal_tol)
-        _spot_check(pi_b, slices, spec.p, "b", marginal_tol)
+        _spot_check(pi_a, slices, spec.p, "a")
+        _spot_check(pi_b, slices, spec.p, "b")
         return [lift_energy(pi_a, spec), lift_energy(pi_b, spec), m]
 
     values = _scenario_values(scenario, cfg)
@@ -259,12 +250,7 @@ def estimate_to_json(est: EnergyEstimate, cfg: McConfig) -> dict:
         "estimate": est.mean,
         "std_error": est.std_error,
         "n": est.n,
-        "config": {
-            "n_mc": cfg.n_mc,
-            "base_seed": cfg.base_seed,
-            "depth": cfg.depth,
-            "n_atoms": cfg.n_atoms,
-        },
+        "config": {"n_mc": cfg.n_mc, "base_seed": cfg.base_seed},
         "seed_rule": _rng.derivation_rule(),
     }
     if est.spec is not None:

@@ -348,38 +348,25 @@ def _pvar_dp(cost) -> float:
     return float(cost.weights @ best[-1])
 
 
-def _grid_index(t: float, depth: int, horizon: float = 1.0) -> int:
-    """Index of the time t on the level-depth dyadic grid of [0, horizon]."""
-    k = t / (horizon / 2 ** depth)
+def _grid_index(t: float, depth: int) -> int:
+    """Index of the time t on the level-depth dyadic grid of [0, 1]."""
+    k = t * 2 ** depth
     k_round = round(k) if math.isfinite(k) else -1  # inf and nan: off grid
     if abs(k - k_round) > 1e-9 or not 0 <= k_round <= 2 ** depth:
         raise ValueError(f"t={t} is not a level-{depth} dyadic time")
     return int(k_round)
 
 
-def _window_indices(path: DyadicPath, window) -> tuple[int, int]:
-    if window is None:
-        return 0, path.n_points - 1
-    s, t = window
-    if not s <= t:
-        raise ValueError("window must satisfy s <= t")
-    return tuple(_grid_index(x, path.depth, path.horizon) for x in (s, t))
+def holder_seminorm(path: DyadicPath, gamma: float) -> float:
+    """gamma-Holder seminorm over grid pairs.
 
-
-def holder_seminorm(path: DyadicPath, gamma: float, window=None) -> float:
-    """gamma-Holder seminorm over grid pairs, optionally on a window.
-
-    Returns max over grid pairs u < v (physical times) inside the window
-    of |X_v - X_u| / (v - u)^gamma. An empty window (s == t) gives 0.
+    Returns max over grid pairs u < v (physical times) of
+    |X_v - X_u| / (v - u)^gamma.
     """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    i0, i1 = _window_indices(path, window)
-    if i1 <= i0:
-        return 0.0
     h = path.horizon / (path.n_points - 1)
-    cost = _path_cost(path.values[i0 : i1 + 1], 1.0)
-    return _holder_max(cost, h, (gamma,))[0]
+    return _holder_max(_path_cost(path.values, 1.0), h, (gamma,))[0]
 
 
 def p_variation(path: DyadicPath, p: float) -> float:
@@ -481,22 +468,16 @@ def _leq(lhs: float, rhs: float) -> bool:
 
 
 def embedding_report(
-    path: DyadicPath,
-    alpha: float,
-    p: float,
-    gamma: Optional[float] = None,
-    include_pvar: bool = True,
+    path: DyadicPath, alpha: float, p: float, include_pvar: bool = True
 ) -> EmbeddingReport:
     """Evaluate the embedding inequalities on one path and flag violations.
 
-    gamma is the Holder exponent for the Holder-into-Sobolev bound and
-    must exceed alpha; it defaults to (alpha + 1)/2.
+    The Holder-into-Sobolev bound uses the Holder exponent
+    gamma = (alpha + 1)/2, which the report records. A bound that leaves
+    the float range raises OverflowError naming it and p.
     """
-    if gamma is None:
-        gamma = 0.5 * (alpha + 1.0)
-    if not alpha < gamma <= 1:
-        raise ValueError("need alpha < gamma <= 1")
     cbar = grr_constant(alpha, p)
+    gamma = 0.5 * (alpha + 1.0)
     w_energy = _fs_energy(path, alpha, p)
     w = w_energy ** (1.0 / p)
     t_hor = path.horizon
@@ -515,9 +496,15 @@ def embedding_report(
         pvar_rhs = cbar * t_hor ** (alpha - 1.0 / p) * w
 
     dpow = (gamma - alpha) * p
-    bound = (
-        holder_gamma ** p * 2.0 * t_hor ** (dpow + 1) / (dpow * (dpow + 1))
-    )
+    try:
+        bound = (
+            holder_gamma ** p * 2.0 * t_hor ** (dpow + 1) / (dpow * (dpow + 1))
+        )
+    except OverflowError as exc:
+        raise OverflowError(
+            f"holder_to_ws_bound (the gamma-Holder seminorm to the power p) "
+            f"overflows at p={p!r}, gamma={gamma!r}: {exc}"
+        ) from exc
 
     violations = []
     if not _leq(holder_lhs, cbar_rhs):

@@ -163,7 +163,6 @@ class BrownianPath:
     seed: int
     depth: int
     dim: int = 1
-    stream: str = "W"
     path: DyadicPath = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -171,7 +170,7 @@ class BrownianPath:
             raise ValueError("depth must be nonnegative")
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        values = _bridge_values(self.seed, self.stream, self.depth, self.dim)
+        values = _bridge_values(self.seed, "W", self.depth, self.dim)
         object.__setattr__(self, "path", DyadicPath(self.depth, values))
 
     @property
@@ -184,9 +183,7 @@ class BrownianPath:
     def refine(self, depth: int) -> "BrownianPath":
         if depth < self.depth:
             raise ValueError("refine only deepens the grid")
-        return BrownianPath(
-            seed=self.seed, depth=depth, dim=self.dim, stream=self.stream
-        )
+        return BrownianPath(seed=self.seed, depth=depth, dim=self.dim)
 
 
 @dataclass(frozen=True)
@@ -208,9 +205,9 @@ class SdeCoefficients:
 
 @dataclass(frozen=True)
 class ScenarioSample:
-    """One realization of a random measure curve, reproducible from seed."""
+    """One realization of a random measure curve, reproducible from the
+    seed of its common path."""
 
-    seed: int
     common_path: BrownianPath
     measure_path: MeasurePathSample
     lift: Optional[PathMeasure] = None
@@ -226,7 +223,7 @@ def heat_flow_marginal(t: float, n: int) -> QuantileMeasure:
 def heat_flow_path(depth: int, n: int) -> MeasurePathSample:
     """The curve t -> N(0, t) on the level-`depth` grid, sqrt(t_k) * c_j."""
     times = np.linspace(0.0, 1.0, 2 ** depth + 1)
-    return MeasurePathSample(times, np.sqrt(times)[:, None] * _normal_atoms(n))
+    return MeasurePathSample(np.sqrt(times)[:, None] * _normal_atoms(n))
 
 
 def stochastic_heat_scenario(
@@ -240,11 +237,9 @@ def stochastic_heat_scenario(
     ``with_lift`` the quantile lift (a view of that array) is attached.
     """
     w = BrownianPath(seed=seed, depth=depth)
-    mp = MeasurePathSample(w.times(), _she_atoms(w, n))
+    mp = MeasurePathSample(_she_atoms(w, n))
     lift = build_dyadic_lift(mp, depth) if with_lift else None
-    return ScenarioSample(
-        seed=seed, common_path=w, measure_path=mp, lift=lift
-    )
+    return ScenarioSample(common_path=w, measure_path=mp, lift=lift)
 
 
 def _she_atoms(w: BrownianPath, n: int) -> np.ndarray:
@@ -253,44 +248,34 @@ def _she_atoms(w: BrownianPath, n: int) -> np.ndarray:
     return np.add(atoms, w.values, out=atoms)
 
 
-def brownian_bundle(
-    seed: int, depth: int, count: int, dim: int = 1
-) -> PathMeasure:
-    """count iid Brownian paths as an equal-weight path measure."""
+def brownian_bundle(seed: int, depth: int, count: int) -> PathMeasure:
+    """count iid Brownian paths in R as an equal-weight path measure."""
     if count < 1:
         raise ValueError("count must be positive")
     return PathMeasure(
         depth=depth,
-        paths=_bridge_values(seed, "B", depth, dim, count=count),
+        paths=_bridge_values(seed, "B", depth, 1, count=count),
         weights=np.full(count, 1.0 / count),
     )
 
 
 def independent_particle_paths(
-    scenario: ScenarioSample,
-    seed2: int,
-    count: int,
-    zero_noise: bool = False,
+    scenario: ScenarioSample, seed2: int, count: int
 ) -> PathMeasure:
     """First particle representation: X^(j) = B^(j) + W, equal weights.
 
-    The B^(j) are iid Brownian paths drawn from seed2 (zeroed by the
-    ``zero_noise`` test hook, which collapses every path onto W). The
-    empirical time-t marginal approximates N(W_t, t) as count grows; the
-    coupling across times is far from monotone.
+    The B^(j) are iid Brownian paths drawn from seed2. The empirical
+    time-t marginal approximates N(W_t, t) as count grows; the coupling
+    across times is far from monotone.
     """
-    return _independent_paths(scenario.common_path, seed2, count, zero_noise)
+    return _independent_paths(scenario.common_path, seed2, count)
 
 
-def _independent_paths(
-    w: BrownianPath, seed2: int, count: int, zero_noise: bool = False
-) -> PathMeasure:
+def _independent_paths(w: BrownianPath, seed2: int, count: int) -> PathMeasure:
     """``independent_particle_paths`` on the common noise W alone."""
     if count < 1:
         raise ValueError("count must be positive")
     b = _bridge_values(seed2, "B", w.depth, w.dim, count=count)
-    if zero_noise:
-        b = np.zeros_like(b)
     return PathMeasure(
         depth=w.depth,
         paths=b + w.values[None, :, :],
@@ -298,9 +283,7 @@ def _independent_paths(
     )
 
 
-def quantile_particle_paths(
-    scenario: ScenarioSample, n: Optional[int] = None
-) -> PathMeasure:
+def quantile_particle_paths(scenario: ScenarioSample, n: int) -> PathMeasure:
     """Second particle representation: gamma_j(t) = c(u_j) sqrt(t) + W_t.
 
     Exact marginals at quantile resolution and monotone pairwise
@@ -310,9 +293,7 @@ def quantile_particle_paths(
     w = scenario.common_path
     if w.dim != 1:
         raise ValueError("quantile representation is one-dimensional")
-    if n is None:
-        n = scenario.measure_path.atoms.shape[1]
-    curve = MeasurePathSample(w.times(), _she_atoms(w, n))
+    curve = MeasurePathSample(_she_atoms(w, n))
     return build_dyadic_lift(curve, w.depth)
 
 
@@ -459,25 +440,22 @@ def sfpe_p_energy(
     b_eval: Callable,
     a_eval: Callable,
     p: float,
-    horizon: float = 1.0,
 ) -> float:
-    """p-energy T^{(p-1)/2} E[iint |b|^p dmu dt] + (E[iint |a|^p dmu dt])^{1/2}.
+    """p-energy E[iint |b|^p dmu dt] + (E[iint |a|^p dmu dt])^{1/2} on [0, 1].
 
     Expectations are Monte Carlo means over the supplied per-outcome
     measure curves, the time integral is trapezoidal on the curve's grid
-    (scaled to [0, T]) and the measure integral averages over atoms.
+    and the measure integral averages over atoms.
     b_eval(t, xs) and a_eval(t, xs) receive xs of shape (N, d) and must
     broadcast to (N, d) resp. (N, d, d); |a| is the Frobenius norm.
     """
     if not p > 1:
         raise ValueError("p must be > 1")
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
     if len(mu_samples) == 0:
         raise ValueError("need at least one sampled curve")
     b_total = a_total = 0.0
     for mp in mu_samples:
-        times = horizon * mp.times
+        times = mp.times
         b_t, a_t = np.empty((2, times.size))
         for i, (t, xs) in enumerate(zip(times, mp.atoms)):
             n, d = xs.shape
@@ -488,10 +466,7 @@ def sfpe_p_energy(
         b_total += np.trapezoid(b_t, times)
         a_total += np.trapezoid(a_t, times)
     n_mc = len(mu_samples)
-    return float(
-        horizon ** ((p - 1) / 2.0) * (b_total / n_mc)
-        + np.sqrt(a_total / n_mc)
-    )
+    return float(b_total / n_mc + np.sqrt(a_total / n_mc))
 
 
 @dataclass(frozen=True)

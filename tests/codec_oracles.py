@@ -81,7 +81,7 @@ def qm_from_csv(f):
     return QuantileMeasure(np.asarray(vals))
 
 
-def pm_from_csv(f, weights=None):
+def pm_from_csv(f):
     reader = csv.reader(f)
     assert next(reader)[:2] == ["path_id", "t"]
     by_path = {}
@@ -96,7 +96,6 @@ def pm_from_csv(f, weights=None):
         [[xs for _, xs in sorted(by_path[j])] for j in ids], dtype=float
     )
     n = paths.shape[1] - 1
-    if weights is None:
-        weights = np.full(len(ids), 1.0 / len(ids))
+    weights = np.full(len(ids), 1.0 / len(ids))
     return PathMeasure(depth=n.bit_length() - 1, paths=paths, weights=weights)
 

@@ -9,7 +9,23 @@ single broadcast; these functions restate the slice-by-slice build.
 import numpy as np
 from scipy.special import ndtri
 
-from pathlift import BrownianPath, QuantileMeasure, midpoint_grid
+from pathlift import (
+    BrownianPath,
+    MeasurePathSample,
+    QuantileMeasure,
+    midpoint_grid,
+)
+
+
+def from_measures(measures):
+    """Stack per-slice QuantileMeasure objects of one atom count."""
+    rows = [m.quantiles for m in measures]
+    times = np.linspace(0.0, 1.0, len(rows))
+    for k, row in enumerate(rows):
+        if row.size != rows[0].size:
+            raise ValueError(f"slice k={k} (t={float(times[k])!r}): "
+                             f"{row.size} atoms, slice 0 has {rows[0].size}")
+    return MeasurePathSample(np.stack(rows))
 
 
 def she_slices(seed, depth, n):

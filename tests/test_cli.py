@@ -175,6 +175,23 @@ def test_config_values_are_typed(tmp_path, capsys, command, obj, key):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command,obj,message", [
+    ("estimate", {"target": "wp", "depth": -1}, "depth must be nonnegative"),
+    ("estimate", {"target": "besov_energy", "fixture": "heat", "alpha": 0.5,
+                  "depth": -1}, "depth must be nonnegative"),
+    ("estimate", {"target": "wp", "n_atoms": 0}, "n must be >= 1"),
+    ("demo", {"preset": "heat", "depth": -1}, "lag_k_max <= depth"),
+    ("demo", {"preset": "heat", "n_atoms": 0}, "n must be >= 1"),
+])
+def test_a_negative_depth_or_no_atoms_exits_2(tmp_path, capsys, command,
+                                              obj, message):
+    cfg = write_config(tmp_path, {"n_mc": 2, **obj})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_sde_accepts_a_scalar_start(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "preset": "she-form1", "depth": 2, "substeps": 4, "n_seeds": 1,
@@ -442,6 +459,17 @@ def test_demo_preset_flag_and_validation(tmp_path, capsys):
         "preset": "heat", "depth": 3, "lag_k_max": 5, "n_mc": 2,
     })
     assert main(["demo", "--config", cfg, "--out", out]) == 2  # k_max > depth
+
+
+@pytest.mark.parametrize("command", ["norms", "ot", "lift", "estimate"])
+def test_preset_flag_is_refused_outside_demo_and_sde(tmp_path, capsys,
+                                                     command):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as info:
+        main([command, "--preset", "nonsense", "--out", str(out)])
+    assert info.value.code == 2
+    assert "--preset nonsense" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_demo_reruns_are_byte_identical(tmp_path, capsys):

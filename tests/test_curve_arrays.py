@@ -10,10 +10,9 @@ the slices) to 1e-12 relative.
 import numpy as np
 import pytest
 
-from curve_oracles import heat_slices, she_slices
+from curve_oracles import from_measures, heat_slices, she_slices
 from kernel_oracles import besov_walk, curve_energy_pairs, marginal_distances
 from pathlift import (
-    MeasurePathSample,
     NormSpec,
     PathMeasure,
     build_dyadic_lift,
@@ -50,7 +49,7 @@ def test_array_curve_matches_the_per_slice_build(fixture, depth, n):
     stacked = np.stack([m.quantiles for m in slices])
     assert mp.atoms.shape == (2 ** depth + 1, n, 1)
     assert mp.atoms.tobytes() == stacked.tobytes()
-    assert MeasurePathSample.from_measures(slices).atoms.tobytes() == (
+    assert from_measures(slices).atoms.tobytes() == (
         stacked.tobytes()
     )
 

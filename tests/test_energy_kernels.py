@@ -80,15 +80,6 @@ def test_holder_matches_row_loop(depth, dim):
         )
 
 
-def test_holder_window_matches_row_loop():
-    path = gaussian_path(1, 12)
-    lo, hi = 1000, 3500
-    window = (lo / 2 ** 12, hi / 2 ** 12)
-    assert holder_seminorm(path, 0.4, window) == pytest.approx(
-        holder_rows(path.values[lo : hi + 1], 2.0 ** -12, 0.4), rel=REL
-    )
-
-
 @pytest.mark.parametrize("depth,dim", SIZES)
 def test_sobolev_matches_row_loop(depth, dim):
     path = gaussian_path(10 + depth, depth, dim, horizon=0.5)
@@ -179,7 +170,7 @@ def test_one_atom_besov_energies_match_the_walks(depth, dim):
 def test_embedding_report_at_depth_12_matches_loops():
     path = gaussian_path(40, 12)
     alpha, p, gamma = 0.6, 2.0, 0.8
-    rep = embedding_report(path, alpha, p, gamma, include_pvar=False)
+    rep = embedding_report(path, alpha, p, include_pvar=False)
     h = 2.0 ** -12
     assert rep.holder_lhs == pytest.approx(
         holder_rows(path.values, h, alpha - 1.0 / p), rel=REL
@@ -521,10 +512,10 @@ def test_offset_kernels_allocate_blocks_and_one_reduced_copy():
     # system and faulted in again on every call
     path = gaussian_path(60, 10)
     for args in ((0.6, 2.0), (0.3, 4.0)):
-        assert peak_bytes(embedding_report, path, *args, None, False) < (
+        assert peak_bytes(embedding_report, path, *args, False) < (
             path.values.nbytes + 2 * block)
     path = gaussian_path(60, 14)
-    assert peak_bytes(embedding_report, path, 0.6, 2.0, None, False) < 3 * (
+    assert peak_bytes(embedding_report, path, 0.6, 2.0, False) < 3 * (
         path.values.nbytes + block)
     scn = stochastic_heat_scenario(5, 8, 1024, with_lift=True)
     nbytes = scn.measure_path.atoms.nbytes
