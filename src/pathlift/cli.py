@@ -43,6 +43,7 @@ from . import _rng
 from ._codec import _cell, json_fields, write_table
 from .errors import MathPreconditionError
 from .lift_builder import (
+    MeasurePathSample,
     bound_factor,
     build_dyadic_lift,
     build_shuffled_lift,
@@ -183,6 +184,8 @@ class _Fixture:
     def __init__(self, name, n_atoms, n_seeds=1):
         if name not in ("heat", "she"):
             raise ConfigError(f"unknown fixture {name!r}")
+        if n_atoms < 1:
+            raise ConfigError("n_atoms must be at least 1")
         self.name = name
         self._c = _normal_atoms(n_atoms)
         # one entry each but W: a seed's samplers share its scenario, and
@@ -315,8 +318,16 @@ def _cmd_lift(config, out_dir, seed):
         dump_paths=(bool, False),
     )
     fx = _Fixture(fixture, n_atoms)
+    if depth < 0:
+        raise ConfigError("depth must be nonnegative")
     spec = NormSpec(kind="besov", p=p, alpha=alpha)
-    levels = refine_and_track(lambda n: fx.curve(seed, n), spec, depth)
+    # the level-n curve is every 2^(depth - n)-th slice of the finest: the
+    # dyadic times are exact and the bridge keeps the coarse values of W
+    curve = fx.curve(seed, depth)
+    levels = refine_and_track(
+        lambda n: MeasurePathSample(curve.atoms[:: 2 ** (depth - n)]),
+        spec, depth,
+    )
     final_energy = levels[-1].energy
     marg_energy = levels[-1].marginal_energy
     files = [
@@ -342,8 +353,7 @@ def _cmd_lift(config, out_dir, seed):
         }),
     ]
     if dump_paths:
-        # refine_and_track ends on the finest curve, which the fixture holds
-        finest = fx.lift("quantile", seed, depth)
+        finest = build_dyadic_lift(curve, depth)
         files.append(("lift_paths.csv", lambda f: pm_to_csv(finest, f)))
     files = _write_files(out_dir, files)
     print(f"lift: final energy {final_energy!r} ({', '.join(files)})")

@@ -10,11 +10,12 @@ coupling, and the coupling is nested across all coarser dyadic levels.
 A lift in R^d is a ``PathMeasure`` of its particle paths; the lift
 energies take any d.
 
-Energies use the one set of kernels in ``path_norms``, which serves paths,
-lifts and curves, through one kind dispatch (``_energy``). A lift's paths
-are its atoms: the kernels reduce each path on its own and weight last, so
-the lift energy is sum_j w_j E(path_j) with no loop over paths. A curve is
-one atom of weight 1 whose pair cost is W_p^p between slices, in place of
+Energies go through ``path_norms._energy``, the one kind dispatch of the
+kernels that serve paths, lifts and curves; this module builds the pair
+costs of lifts and curves. A lift's paths are its atoms: the kernels
+reduce each path on its own and weight last, so the lift energy is
+sum_j w_j E(path_j) with no loop over paths. A curve is one atom of
+weight 1 whose pair cost is W_p^p between slices, in place of
 |X_v - X_u|^p. The lift energy never undercuts the curve energy.
 """
 
@@ -31,13 +32,10 @@ from .path_norms import (
     _BLOCK_CELLS,
     DyadicPath,
     NormSpec,
-    _besov_sums,
+    _energy,
     _grid_index,
-    _holder_max,
     _level_blocks,
     _PairCost,
-    _pvar_dp,
-    _sobolev_sum,
 )
 from .quantile_transport import (
     _WEIGHT_TOL,
@@ -221,7 +219,8 @@ class _CurveCost(_PairCost):
     """W_p^p between the 1-d slices of a curve, one column of weight 1.
 
     slices (K, N, 1) holds equal-weight atoms sorted within each site, so
-    W_p^p is the mean of |X_j - X_i|^p over matched atoms.
+    W_p^p is the mean of |X_j - X_i|^p over matched atoms. It has no
+    midpoint slices yet, so the Sobolev energy refuses a curve.
     """
 
     def __init__(self, slices: np.ndarray, p: float):
@@ -230,6 +229,9 @@ class _CurveCost(_PairCost):
 
     def __call__(self, i, j) -> np.ndarray:
         return (super().__call__(i, j) @ self.atom_weights)[..., None]
+
+    def midpoints(self):
+        raise ValueError("curve energy supports besov, holder and pvar kinds")
 
     def offset_blocks(self):
         # one offset row a block, from __call__ on runs of at most
@@ -266,33 +268,9 @@ class _CloudCost(_CurveCost):
         return out
 
 
-def _energy(cost: _PairCost, spec: NormSpec) -> float:
-    """Energy on [0, 1] of a lift's paths or of a curve, from its pair cost.
-
-    * besov:  sum_m 2^{m(alpha p - 1)} sum_k cost(t_k^{(m)}, t_{k+1}^{(m)})
-    * holder: sup_{u<v} cost(u, v) / (v-u)^{gamma p}
-    * pvar:   sup over dissections of the sum of cost along the dissection
-    * frac_sobolev (lifts only): the W^{alpha,p} energy by midpoint
-      quadrature on the grid cells, as in ``frac_sobolev_seminorm``
-
-    Each path's energy is taken on its own and weighted last, so a lift
-    pays sum_j w_j seminorm(path_j)^p; a curve pays its W_p energy.
-    """
-    h = 1.0 / (cost.k - 1)
-    if spec.kind == "besov":
-        return float(cost.weights @ _besov_sums(cost, spec.alpha, spec.p))
-    if spec.kind == "holder":
-        return _holder_max(cost, h, (spec.gamma * spec.p,))[0]
-    if spec.kind == "pvar":
-        return _pvar_dp(cost)
-    if isinstance(cost, _CurveCost):
-        raise ValueError("curve energy supports besov, holder and pvar kinds")
-    return _sobolev_sum(cost, h, spec.alpha)
-
-
 def lift_energy(pi: PathMeasure, spec: NormSpec) -> float:
     """Energy sum_j w_j * seminorm(path_j)^p of the lift."""
-    return _energy(_lift_cost(pi, spec.p), spec)
+    return _energy(_lift_cost(pi, spec.p), spec, 1.0)
 
 
 def marginal_cloud(pi: PathMeasure, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +331,7 @@ def marginal_curve_energy(pi: PathMeasure, spec: NormSpec) -> float:
         cost = _CurveCost(np.ascontiguousarray(slices), spec.p)
     else:
         cost = _CloudCost(pi.paths.transpose(1, 0, 2), pi.weights, spec.p)
-    return _energy(cost, spec)
+    return _energy(cost, spec, 1.0)
 
 
 def bound_factor(alpha: float, p: float) -> float:
@@ -391,14 +369,13 @@ def refine_and_track(
     """
     if spec.kind != "besov":
         raise ValueError("refinement tracking is defined for the besov energy")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     rows = []
-    finest = None
     for n in range(n_max + 1):
         pi = build_dyadic_lift(mp_provider(n), n)
         rows.append((n, lift_energy(pi, spec)))
-        if n == n_max:
-            finest = pi
-    marg = marginal_curve_energy(finest, spec)
+    marg = marginal_curve_energy(pi, spec)  # the finest level's lift
     bound = bound_factor(spec.alpha, spec.p) * marg
     return [RefineTrackRow(n, e, bound, marg) for n, e in rows]
 

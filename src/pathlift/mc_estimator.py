@@ -29,11 +29,10 @@ from .lift_builder import (
     MeasurePathSample,
     PathMeasure,
     _CurveCost,
-    _energy,
     lift_energy,
     marginal_cloud,
 )
-from .path_norms import NormSpec, _grid_index
+from .path_norms import NormSpec, _energy, _grid_index
 from .quantile_transport import wasserstein_p, wasserstein_p_clouds
 
 __all__ = [
@@ -130,7 +129,7 @@ def curve_besov_energy(mp: MeasurePathSample, alpha: float, p: float) -> float:
 
 def curve_energy(mp: MeasurePathSample, spec: NormSpec) -> float:
     """W_p energy (besov/holder/pvar) of a curve from its sorted slice atoms."""
-    return _energy(_CurveCost(mp.atoms, spec.p), spec)
+    return _energy(_CurveCost(mp.atoms, spec.p), spec, 1.0)
 
 
 def process_besov_energy(

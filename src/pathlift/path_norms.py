@@ -27,6 +27,10 @@ weight 1 whose pair cost is W_p^p between slices i and j, so a curve
 energy is the same kernel run on that cost. Holder and Sobolev reduce by
 offset j - i, p-variation by rows, in blocks of bounded size, so memory
 stays bounded; the offset blocks of one call share one buffer.
+
+``_energy`` is the one place that maps a norm kind to its kernel: the
+seminorms of a path, the lift energies and the curve energies all go
+through it, each with its own pair cost.
 """
 
 import math
@@ -134,13 +138,11 @@ class NormSpec:
                 raise ValueError("gamma must lie in (0, 1]")
 
     def seminorm(self, path: DyadicPath) -> float:
-        if self.kind == "holder":
-            return holder_seminorm(path, self.gamma)
-        if self.kind == "pvar":
-            return p_variation(path, self.p)
-        if self.kind == "besov":
-            return besov_seminorm(path, self.alpha, self.p)
-        return frac_sobolev_seminorm(path, self.alpha, self.p)
+        """The seminorm of a path: its energy with cost |X_v - X_u|^q, to
+        the power 1/q, where q = 1 for holder and q = p otherwise."""
+        q = 1.0 if self.kind == "holder" else self.p
+        energy = _energy(_path_cost(path.values, q), self, path.horizon)
+        return energy ** (1 / q)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +209,11 @@ class _PairCost:
 
     def __call__(self, i, j) -> np.ndarray:
         return _pow_dist(self.atoms[j] - self.atoms[i], self.p)
+
+    def midpoints(self) -> "_PairCost":
+        """The same cost between the midpoints of neighbouring sites."""
+        return _PairCost(0.5 * (self.atoms[:-1] + self.atoms[1:]),
+                         self.weights, self.p)
 
     def offset_blocks(self):
         """Yields (n, o, c), c[q, r, i] = cost(i, (i + o + r) mod K)[n + q],
@@ -325,9 +332,7 @@ def _sobolev_sum(cost, h: float, alpha: float) -> float:
     h^2 sum_{i != j} w . cost(m_i, m_j) / (h |j - i|)^{1 + alpha p} over
     the cell midpoints m_i, by symmetry.
     """
-    mids = _PairCost(0.5 * (cost.atoms[:-1] + cost.atoms[1:]), cost.weights,
-                     cost.p)
-    m, offs = _offset_reduce(mids, np.add)
+    m, offs = _offset_reduce(cost.midpoints(), np.add)
     total = m @ (h * offs) ** -(1.0 + alpha * cost.p)
     return 2.0 * float(cost.weights @ total) * h * h
 
@@ -348,6 +353,34 @@ def _pvar_dp(cost) -> float:
     return float(cost.weights @ best[-1])
 
 
+def _energy(cost: _PairCost, spec: NormSpec, horizon: float) -> float:
+    """Energy of a path, a lift's paths or a curve, from its pair cost.
+
+    With K grid sites spaced h = horizon/(K - 1):
+
+    * besov:  sum_m 2^{m(alpha p - 1)} sum_k cost(t_k^{(m)}, t_{k+1}^{(m)}),
+      on [0, 1] only
+    * holder: sup_{u<v} cost(u, v) / (v-u)^{gamma p}, p the cost's power
+    * pvar:   sup over dissections of the sum of cost along the dissection
+    * frac_sobolev: the W^{alpha,p} energy by midpoint quadrature on the
+      grid cells, as in ``frac_sobolev_seminorm``; a cost with no
+      midpoints (a curve's) refuses it
+
+    Each atom's energy is taken on its own and weighted last, so a lift
+    pays sum_j w_j seminorm(path_j)^p; a curve pays its W_p energy.
+    """
+    h = horizon / (cost.k - 1)
+    if spec.kind == "besov":
+        if horizon != 1.0:
+            raise ValueError("besov seminorm requires horizon 1")
+        return float(cost.weights @ _besov_sums(cost, spec.alpha, spec.p))
+    if spec.kind == "holder":
+        return _holder_max(cost, h, (spec.gamma * cost.p,))[0]
+    if spec.kind == "pvar":
+        return _pvar_dp(cost)
+    return _sobolev_sum(cost, h, spec.alpha)
+
+
 def _grid_index(t: float, depth: int) -> int:
     """Index of the time t on the level-depth dyadic grid of [0, 1]."""
     k = t * 2 ** depth
@@ -363,10 +396,7 @@ def holder_seminorm(path: DyadicPath, gamma: float) -> float:
     Returns max over grid pairs u < v (physical times) of
     |X_v - X_u| / (v - u)^gamma.
     """
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    h = path.horizon / (path.n_points - 1)
-    return _holder_max(_path_cost(path.values, 1.0), h, (gamma,))[0]
+    return NormSpec(kind="holder", p=1.0, gamma=gamma).seminorm(path)
 
 
 def p_variation(path: DyadicPath, p: float) -> float:
@@ -374,9 +404,7 @@ def p_variation(path: DyadicPath, p: float) -> float:
 
     Exact O(K^2) dynamic program over the grid points (see ``_pvar_dp``).
     """
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
-    return _pvar_dp(_path_cost(path.values, p)) ** (1.0 / p)
+    return NormSpec(kind="pvar", p=p).seminorm(path)
 
 
 def besov_seminorm(path: DyadicPath, alpha: float, p: float) -> float:
@@ -388,19 +416,7 @@ def besov_seminorm(path: DyadicPath, alpha: float, p: float) -> float:
     knows the truncation level: it is ``path.depth``). Defined on [0,1]
     only; paths with another horizon must be rescaled first.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
-    if path.horizon != 1.0:
-        raise ValueError("besov seminorm requires horizon 1")
-    return float(_besov_sums(_path_cost(path.values, p), alpha, p)[0]) ** (1 / p)
-
-
-def _fs_energy(path: DyadicPath, alpha: float, p: float) -> float:
-    """W^{alpha,p} energy (seminorm to the p) by midpoint quadrature."""
-    h = path.horizon / (path.n_points - 1)
-    return _sobolev_sum(_path_cost(path.values, p), h, alpha)
+    return NormSpec(kind="besov", p=p, alpha=alpha).seminorm(path)
 
 
 def frac_sobolev_seminorm(path: DyadicPath, alpha: float, p: float) -> float:
@@ -412,11 +428,7 @@ def frac_sobolev_seminorm(path: DyadicPath, alpha: float, p: float) -> float:
     integrable; dropping them underestimates by O(grid)). Path values at
     cell midpoints come from the piecewise linear interpolant.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
-    return _fs_energy(path, alpha, p) ** (1.0 / p)
+    return NormSpec(kind="frac_sobolev", p=p, alpha=alpha).seminorm(path)
 
 
 def grr_constant(alpha: float, p: float) -> float:
@@ -478,15 +490,14 @@ def embedding_report(
     """
     cbar = grr_constant(alpha, p)
     gamma = 0.5 * (alpha + 1.0)
-    w_energy = _fs_energy(path, alpha, p)
-    w = w_energy ** (1.0 / p)
     t_hor = path.horizon
+    h = t_hor / (path.n_points - 1)
+    w_energy = _sobolev_sum(_path_cost(path.values, p), h, alpha)
+    w = w_energy ** (1.0 / p)
 
     # both Holder maxima come from one pass over the pairwise distances
     holder_lhs, holder_gamma = _holder_max(
-        _path_cost(path.values, 1.0),
-        t_hor / (path.n_points - 1),
-        (alpha - 1.0 / p, gamma),
+        _path_cost(path.values, 1.0), h, (alpha - 1.0 / p, gamma)
     )
     cbar_rhs = cbar * w
 

@@ -66,9 +66,6 @@ class QuantileMeasure:
     def grid_size(self) -> int:
         return self.quantiles.size
 
-    def mean(self) -> float:
-        return float(np.mean(self.quantiles))
-
 
 def wasserstein_p(mu: QuantileMeasure, nu: QuantileMeasure, p: float) -> float:
     """W_p distance between same-size quantile measures.

@@ -10,7 +10,10 @@ are the level walk on a pair cost as it ran before levels came in row
 blocks: one array per level, summed whole. ``gap_weighted``,
 ``holder_max_rows`` and ``sobolev_sum_rows`` are the Holder and Sobolev
 kernels as they ran before they reduced by offset: row blocks of the pair
-cost, every cell weighted by its gap.
+cost, every cell weighted by its gap. ``seminorm_formula`` is each path
+seminorm as its own public function computed it before one dispatch
+priced paths, lifts and curves: its kernel called directly, with its own
+grid spacing, Holder exponent and root.
 """
 
 import numpy as np
@@ -18,7 +21,15 @@ from numpy.lib.stride_tricks import as_strided
 
 from pathlift import wasserstein_p_clouds
 from pathlift.lift_builder import _CurveCost
-from pathlift.path_norms import _cost_blocks, _PairCost
+from pathlift.path_norms import (
+    _besov_sums,
+    _cost_blocks,
+    _holder_max,
+    _PairCost,
+    _path_cost,
+    _pvar_dp,
+    _sobolev_sum,
+)
 
 
 def pow_dist_power(diff, p):
@@ -28,6 +39,24 @@ def pow_dist_power(diff, p):
     else:
         dist = np.sqrt(np.einsum("...d,...d->...", diff, diff))
     return np.power(dist, p, out=dist)
+
+
+def seminorm_formula(path, spec):
+    """spec's seminorm of a DyadicPath, one formula per kind.
+
+    holder takes |X_v - X_u| itself (p = 1) with exponent gamma, whatever
+    spec.p is; the others take |X_v - X_u|^p and the p-th root.
+    """
+    h = path.horizon / (path.n_points - 1)
+    p = spec.p
+    if spec.kind == "holder":
+        return _holder_max(_path_cost(path.values, 1.0), h, (spec.gamma,))[0]
+    if spec.kind == "pvar":
+        return _pvar_dp(_path_cost(path.values, p)) ** (1.0 / p)
+    if spec.kind == "besov":
+        sums = _besov_sums(_path_cost(path.values, p), spec.alpha, p)
+        return float(sums[0]) ** (1 / p)
+    return _sobolev_sum(_path_cost(path.values, p), h, spec.alpha) ** (1.0 / p)
 
 
 def holder_rows(values, h, gamma):

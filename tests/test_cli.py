@@ -176,16 +176,22 @@ def test_config_values_are_typed(tmp_path, capsys, command, obj, key):
 
 
 @pytest.mark.parametrize("command,obj,message", [
-    ("estimate", {"target": "wp", "depth": -1}, "depth must be nonnegative"),
+    ("estimate", {"target": "wp", "n_mc": 2, "depth": -1},
+     "depth must be nonnegative"),
     ("estimate", {"target": "besov_energy", "fixture": "heat", "alpha": 0.5,
-                  "depth": -1}, "depth must be nonnegative"),
-    ("estimate", {"target": "wp", "n_atoms": 0}, "n must be >= 1"),
-    ("demo", {"preset": "heat", "depth": -1}, "lag_k_max <= depth"),
-    ("demo", {"preset": "heat", "n_atoms": 0}, "n must be >= 1"),
+                  "n_mc": 2, "depth": -1}, "depth must be nonnegative"),
+    ("estimate", {"target": "wp", "n_mc": 2, "n_atoms": 0},
+     "n_atoms must be at least 1"),
+    ("demo", {"preset": "heat", "n_mc": 2, "depth": -1}, "lag_k_max <= depth"),
+    ("demo", {"preset": "heat", "n_mc": 2, "n_atoms": 0},
+     "n_atoms must be at least 1"),
+    ("lift", {"fixture": "she", "depth": -1}, "depth must be nonnegative"),
+    ("lift", {"fixture": "heat", "depth": -1}, "depth must be nonnegative"),
+    ("lift", {"fixture": "she", "n_atoms": 0}, "n_atoms must be at least 1"),
 ])
 def test_a_negative_depth_or_no_atoms_exits_2(tmp_path, capsys, command,
                                               obj, message):
-    cfg = write_config(tmp_path, {"n_mc": 2, **obj})
+    cfg = write_config(tmp_path, obj)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -275,7 +281,7 @@ def test_lift_she_fixture(tmp_path, capsys):
     assert abs(obj["gap"]) < 1e-9
 
 
-def test_lift_she_builds_each_depth_once(tmp_path, capsys, monkeypatch):
+def test_lift_she_builds_its_curve_once(tmp_path, capsys, monkeypatch):
     builds = Counter()
     build = cli.stochastic_heat_scenario
 
@@ -289,7 +295,7 @@ def test_lift_she_builds_each_depth_once(tmp_path, capsys, monkeypatch):
         "dump_paths": True,
     })
     assert main(["lift", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert builds == Counter(range(6))
+    assert builds == Counter({5: 1})
 
 
 def test_lift_prices_the_finest_marginal_curve_once(
@@ -856,7 +862,8 @@ def test_heat_builds_one_curve_per_depth(tmp_path, capsys, monkeypatch):
     sizes = {"depth": 3, "n_atoms": 8, "alpha": 0.6, "p": 2.0}
     cfg = write_config(tmp_path, {"fixture": "heat", **sizes}, "lift.json")
     assert main(["lift", "--config", cfg, "--out", str(tmp_path / "l")]) == 0
-    assert builds == Counter((n, 8) for n in range(4))
+    # the finest curve only: the coarser levels are its sub-grid views
+    assert builds == Counter({(3, 8): 1})
     for n_mc in (1, 4):
         builds.clear()
         cfg = write_config(tmp_path, {

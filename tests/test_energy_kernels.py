@@ -47,8 +47,8 @@ from pathlift import (
     tightness_diagnostic,
 )
 from pathlift import path_norms
-from pathlift.lift_builder import _CloudCost, _CurveCost, _energy, _lift_cost
-from pathlift.path_norms import _PairCost
+from pathlift.lift_builder import _CloudCost, _CurveCost, _lift_cost
+from pathlift.path_norms import _energy, _PairCost
 
 REL = 1e-12
 
@@ -294,8 +294,8 @@ def test_cloud_cost_matches_wasserstein_p_clouds(depth, n, zeros):
         assert fast(sites[:, None], sites) == pytest.approx(
             loop(sites[:, None], sites), rel=REL, abs=1e-300
         )
-        assert _energy(fast, spec) == pytest.approx(
-            _energy(loop, spec), rel=REL, abs=1e-300
+        assert _energy(fast, spec, 1.0) == pytest.approx(
+            _energy(loop, spec, 1.0), rel=REL, abs=1e-300
         )
 
 

@@ -328,9 +328,21 @@ def test_curve_energy_never_exceeds_lift_energy_property(pi, p, alpha, gamma):
 
 
 def test_curve_energy_rejects_frac_sobolev():
-    pi = build_dyadic_lift(heat_sample(1), 1)
-    with pytest.raises(ValueError, match="besov, holder and pvar"):
-        marginal_curve_energy(pi, NormSpec(kind="frac_sobolev", p=2.0, alpha=0.6))
+    spec = NormSpec(kind="frac_sobolev", p=2.0, alpha=0.6)
+    uniform = build_dyadic_lift(heat_sample(1), 1)
+    # the same paths with other weights take the exact weighted W_p route
+    w = np.linspace(1.0, 2.0, uniform.n_paths)
+    weighted = PathMeasure(depth=1, paths=uniform.paths, weights=w / w.sum())
+    assert not weighted.uniform_weights()
+    for pi in (uniform, weighted):
+        with pytest.raises(ValueError, match="besov, holder and pvar"):
+            marginal_curve_energy(pi, spec)
+
+
+def test_refine_and_track_refuses_a_negative_level():
+    spec = NormSpec(kind="besov", p=2.0, alpha=0.6)
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        refine_and_track(heat_sample, spec, n_max=-1)
 
 
 def test_curve_energy_weighted_route_matches_uniform_route():

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_oracles import seminorm_formula
+
 from pathlift import (
     DyadicPath,
     NormSpec,
@@ -93,17 +95,34 @@ class TestNormSpec:
             NormSpec(kind="holder", p=2.0, gamma=1.5)
 
     def test_dispatch_matches_functions(self):
-        path = random_path(5, 4)
-        assert NormSpec(kind="pvar", p=3.0).seminorm(path) == p_variation(path, 3.0)
-        assert NormSpec(kind="holder", p=2.0, gamma=0.5).seminorm(
-            path
-        ) == holder_seminorm(path, 0.5)
-        assert NormSpec(kind="besov", p=2.0, alpha=0.75).seminorm(
-            path
-        ) == besov_seminorm(path, 0.75, 2.0)
-        assert NormSpec(kind="frac_sobolev", p=2.0, alpha=0.75).seminorm(
-            path
-        ) == frac_sobolev_seminorm(path, 0.75, 2.0)
+        # both routes against each kind's own formula, bit for bit: holder
+        # ignores p, and the grid spacing follows the horizon
+        functions = {
+            "holder": lambda path, s: holder_seminorm(path, s.gamma),
+            "pvar": lambda path, s: p_variation(path, s.p),
+            "besov": lambda path, s: besov_seminorm(path, s.alpha, s.p),
+            "frac_sobolev":
+                lambda path, s: frac_sobolev_seminorm(path, s.alpha, s.p),
+        }
+        specs = [
+            NormSpec(kind="holder", p=3.0, gamma=0.4),
+            NormSpec(kind="pvar", p=2.5),
+            NormSpec(kind="besov", p=4.0, alpha=0.3),
+            NormSpec(kind="frac_sobolev", p=2.5, alpha=0.6),
+        ]
+        for dim in (1, 2):
+            values = random_path(7 + dim, 5, dim).values
+            for horizon in (1.0, 2.0):
+                path = DyadicPath(5, values, horizon)
+                for spec in specs:
+                    if spec.kind == "besov" and horizon != 1.0:
+                        with pytest.raises(ValueError, match="horizon 1"):
+                            spec.seminorm(path)
+                        continue
+                    want = seminorm_formula(path, spec)
+                    assert want > 0.0
+                    assert spec.seminorm(path) == want
+                    assert functions[spec.kind](path, spec) == want
 
 
 # ---------------------------------------------------------------------------

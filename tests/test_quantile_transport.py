@@ -104,10 +104,9 @@ class TestQuantileMeasure:
         with pytest.raises(ValueError):
             QuantileMeasure(np.zeros((2, 2)))
 
-    def test_grid_size_and_mean(self):
+    def test_grid_size(self):
         m = QuantileMeasure(np.array([0.0, 1.0, 2.0, 5.0]))
         assert m.grid_size == 4
-        assert m.mean() == 2.0
 
 
 # ---------------------------------------------------------------------------
