@@ -7,6 +7,8 @@ JSON for external plotting; no images are rendered here. Outputs are a
 deterministic function of (config, seed): files carry no timestamps,
 floats are written in shortest round-trip form, and reruns are
 byte-identical. Every emitted JSON document carries "spec_version": 1.
+The argument parser is built once per process, at the first ``main``
+call; each call parses into a fresh namespace, so no flag carries over.
 
 Config values are typed by ``_codec.json_fields``: a key the subcommand
 does not know, or a value of the wrong JSON type (a string or boolean
@@ -18,7 +20,9 @@ but true or false for a flag) is a config error that names the key.
 "heat" the deterministic heat flow N(0, t). At a scenario seed s every
 command sees the same curve, the same quantile, shuffled and independent
 lifts and the same W_p marginals; the shuffled lift permutes with the
-seed ``derive_seed(s, 1)``.
+seed ``derive_seed(s, 1)``. ``estimate --target wp`` builds W only to the
+coarsest dyadic level holding s and t; the bridge gives those values the
+same bits at every depth.
 
 Every table and JSON document of a bundle is made, and a non-finite
 number refused, before the first file is written, so a failing command
@@ -159,6 +163,11 @@ def _dyadic_index(t, depth, what):
         raise ConfigError(
             f"{what}={t} is not a dyadic grid time at depth {depth}"
         ) from None
+
+
+def _coarsest_level(k, depth):
+    """The coarsest dyadic level whose grid holds point k of level depth."""
+    return depth + 1 - (k & -k).bit_length() if k else 0
 
 
 def _norm_spec(obj):
@@ -524,7 +533,7 @@ def _cmd_sde(config, out_dir, seed, preset):
         # is read at t0's own level (or W's): the bridge keeps it at any depth
         level = substeps.bit_length() - 1
         k0 = _dyadic_index(t0, level, "t0")
-        m = max(depth, level + 1 - (k0 & -k0).bit_length() if k0 else 0)
+        m = max(depth, _coarsest_level(k0, level))
         c = gaussian_quantile(quantiles)
     runs, dev_rows, run_id = [], [], 0
     for i in range(n_seeds):
@@ -599,9 +608,11 @@ def _cmd_estimate(config, out_dir, seed):
     cfg = McConfig(n_mc=n_mc, base_seed=seed)
 
     if target == "wp":
-        _dyadic_index(s, depth, "s")
-        _dyadic_index(t, depth, "t")
-        est = expected_wp(lambda sd: fx.marginals(sd, depth, s, t), p, cfg)
+        # W is read at s and t only: build it to the coarsest level holding
+        # both, whose values are the same bits as at depth
+        level = max(_coarsest_level(_dyadic_index(s, depth, "s"), depth),
+                    _coarsest_level(_dyadic_index(t, depth, "t"), depth))
+        est = expected_wp(lambda sd: fx.marginals(sd, level, s, t), p, cfg)
         extra = {"s": s, "t": t}
     elif alpha is None:
         raise ConfigError(f"target {target!r} needs 'alpha'")
@@ -658,6 +669,7 @@ _HELP = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pathlift",

@@ -19,6 +19,7 @@ raised naming its index and derived seed, to be replayed alone. The CLI
 writes its bundles as strict JSON.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -98,10 +99,21 @@ def _scenario_values(value: Callable, cfg: McConfig) -> np.ndarray:
 
 
 def _estimate(values: np.ndarray, spec: Optional[NormSpec]) -> EnergyEstimate:
-    """MC mean and standard error of one column of per-scenario values."""
+    """MC mean and standard error of one column of per-scenario values.
+
+    Values below 1 in size are scaled up by a power of two for the
+    standard error, so the squared deviations do not underflow to 0 (a
+    W_p^p at large p); the scaling is exact, and the result is the same
+    bits where nothing underflows. Values are never scaled down: a spread
+    that overflows stays inf.
+    """
     values = np.ascontiguousarray(values)
     n = values.size
-    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    se = 0.0
+    if n > 1:
+        e = max(0, -math.frexp(float(np.max(np.abs(values))))[1])
+        std = np.std(np.ldexp(values, e), ddof=1) / np.sqrt(n)
+        se = math.ldexp(float(std), -e)
     return EnergyEstimate(float(np.mean(values)), se, n, spec)
 
 
@@ -112,6 +124,9 @@ def expected_wp(sampler: Callable, p: float, cfg: McConfig) -> EnergyEstimate:
     estimate is the p-th root of the MC mean of W_p^p; its standard error
     comes from the delta method, se(root) = se(mean) * root^{1-p} / p.
     """
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
+
     def w_pp(seed):
         mu, nu = sampler(seed)
         return wasserstein_p(mu, nu, p) ** p
@@ -140,10 +155,11 @@ def process_besov_energy(
     sampler(seed) must return a MeasurePathSample; the per-outcome energy
     uses exact samplewise W_p between the dyadic marginals.
     """
+    spec = NormSpec(kind="besov", p=p, alpha=alpha)
     values = _scenario_values(
-        lambda seed: curve_besov_energy(sampler(seed), alpha, p), cfg
+        lambda seed: curve_energy(sampler(seed), spec), cfg
     )
-    return _estimate(values, NormSpec(kind="besov", p=p, alpha=alpha))
+    return _estimate(values, spec)
 
 
 def expected_lift_energy(

@@ -412,7 +412,8 @@ def test_demo_she_builds_each_scenario_at_most_twice(
 
 
 def count_she_builds(monkeypatch):
-    """Count the she scenarios and the W the CLI builds, by seed."""
+    """Count the she scenarios the CLI builds by seed, and its W by
+    (seed, depth)."""
     builds = {"scenario": Counter(), "w": Counter()}
     scenario, brownian = cli.stochastic_heat_scenario, cli.BrownianPath
 
@@ -421,7 +422,7 @@ def count_she_builds(monkeypatch):
         return scenario(seed, *args, **kwargs)
 
     def counted_w(seed, depth, **kwargs):
-        builds["w"][seed] += 1
+        builds["w"][seed, depth] += 1
         return brownian(seed=seed, depth=depth, **kwargs)
 
     monkeypatch.setattr(cli, "stochastic_heat_scenario", counted_scenario)
@@ -440,7 +441,7 @@ def test_demo_she_builds_one_scenario_and_one_w_per_seed(
     assert main(["demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     seeds = [_rng.derive_seed(3, i) for i in range(6)]
     assert builds["scenario"] == Counter(seeds)
-    assert builds["w"] == Counter(seeds)
+    assert builds["w"] == Counter((sd, 5) for sd in seeds)
 
 
 def test_estimate_she_independent_lift_builds_only_w(
@@ -455,7 +456,28 @@ def test_estimate_she_independent_lift_builds_only_w(
     out = tmp_path / "o"
     assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
     assert not builds["scenario"]
-    assert builds["w"] == Counter(_rng.derive_seed(2, i) for i in range(4))
+    seeds = [_rng.derive_seed(2, i) for i in range(4)]
+    assert builds["w"] == Counter((sd, 4) for sd in seeds)
+
+
+@pytest.mark.parametrize("s,t,depth,level", [
+    (0.0, 1.0, 8, 0),
+    (0.25, 0.375, 6, 3),
+    (0.5, 0.5, 3, 1),
+])
+def test_estimate_wp_builds_w_at_the_level_of_s_and_t(
+    tmp_path, capsys, monkeypatch, s, t, depth, level
+):
+    builds = count_she_builds(monkeypatch)
+    cfg = write_config(tmp_path, {
+        "target": "wp", "fixture": "she", "s": s, "t": t, "depth": depth,
+        "n_atoms": 8, "n_mc": 4, "seed": 2,
+    })
+    out = str(tmp_path / "o")
+    assert main(["estimate", "--config", cfg, "--out", out]) == 0
+    assert not builds["scenario"]
+    seeds = [_rng.derive_seed(2, i) for i in range(4)]
+    assert builds["w"] == Counter((sd, level) for sd in seeds)
 
 
 def test_demo_preset_flag_and_validation(tmp_path, capsys):
@@ -476,6 +498,34 @@ def test_preset_flag_is_refused_outside_demo_and_sde(tmp_path, capsys,
     assert info.value.code == 2
     assert "--preset nonsense" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    demo = write_config(tmp_path, {
+        "depth": 3, "n_atoms": 4, "n_mc": 2, "count": 2, "paths_dump": 2,
+    }, "demo.json")
+    d = str(tmp_path / "d")
+    assert main(["demo", "--preset", "she", "--config", demo, "--out", d]) == 0
+    capsys.readouterr()
+    assert main(["demo", "--config", demo, "--out", d]) == 2
+    assert "demo preset must be 'heat' or 'she'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["lift", "--preset", "she", "--out", str(tmp_path / "l")])
+    assert info.value.code == 2
+    # the flags of the first call reach neither the seed nor the directory
+    # of the second, which come from its config
+    a, b = tmp_path / "a", tmp_path / "b"
+    est = write_config(tmp_path, {
+        "target": "wp", "fixture": "she", "depth": 1, "n_atoms": 4,
+        "n_mc": 2, "out": str(b),
+    }, "estimate.json")
+    assert main(["estimate", "--config", est, "--seed", "9",
+                 "--out", str(a)]) == 0
+    assert main(["estimate", "--config", est]) == 0
+    for out, seed in ((a, 9), (b, 0)):
+        obj = json.loads((out / "estimate.json").read_text())
+        assert obj["config"]["base_seed"] == seed
 
 
 def test_demo_reruns_are_byte_identical(tmp_path, capsys):
@@ -694,6 +744,76 @@ def test_estimate_she_wp_delta_to_terminal(tmp_path, capsys):
     # (E W_2^2)^(1/2) with W_2^2 = W_1^2 + m_2: expect about sqrt(2)
     assert 1.1 < obj["estimate"] < 1.8
     assert obj["std_error"] > 0
+
+
+@pytest.mark.parametrize("fixture", ["she", "heat"])
+@pytest.mark.parametrize("depth", [0, 3, 8])
+@pytest.mark.parametrize("s,t", [
+    (0.0, 1.0), (0.25, 0.375), (0.5, 0.5), (1.0, 0.0),
+])
+def test_estimate_wp_bundle_is_the_full_depth_bundle(
+    tmp_path, capsys, monkeypatch, fixture, depth, s, t
+):
+    n_atoms = 8
+    cfg = write_config(tmp_path, {
+        "target": "wp", "fixture": fixture, "s": s, "t": t, "p": 3.0,
+        "n_mc": 3, "depth": depth, "n_atoms": n_atoms, "seed": 4,
+    })
+    fast, full = tmp_path / "fast", tmp_path / "full"
+    code = main(["estimate", "--config", cfg, "--out", str(fast)])
+    if s * 2 ** depth % 1 or t * 2 ** depth % 1:
+        assert code == 2
+        assert f"not a dyadic grid time at depth {depth}" in (
+            capsys.readouterr().err)
+        return
+    assert code == 0
+    c = ndtri(midpoint_grid(n_atoms))
+
+    def full_depth_marginals(self, seed, level, s, t):
+        # the marginals with W built to the config's depth, whatever level
+        # the command asks for
+        if fixture == "heat":
+            return tuple(QuantileMeasure(np.sqrt(u) * c) for u in (s, t))
+        w = BrownianPath(seed=seed, depth=depth).values[:, 0]
+        return tuple(QuantileMeasure(w[int(u * 2 ** depth)] + np.sqrt(u) * c)
+                     for u in (s, t))
+
+    monkeypatch.setattr(cli._Fixture, "marginals", full_depth_marginals)
+    assert main(["estimate", "--config", cfg, "--out", str(full)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == printed[1]
+    for name in ("estimate.json", "estimate.csv"):
+        assert (fast / name).read_bytes() == (full / name).read_bytes()
+
+
+def test_estimate_wp_keeps_its_standard_error_at_large_p(tmp_path, capsys):
+    # W_p^p is about 1e-165 at p = 700, so the squared deviations from its
+    # mean fall below the smallest double
+    cfg = write_config(tmp_path, {
+        "target": "wp", "fixture": "she", "p": 700, "s": 0.75, "t": 1.0,
+        "n_mc": 4, "depth": 4, "n_atoms": 16,
+    })
+    out = tmp_path / "o"
+    assert main(["estimate", "--config", cfg, "--out", str(out),
+                 "--seed", "5"]) == 0
+    obj = json.loads((out / "estimate.json").read_text())
+    assert obj["estimate"] == 0.5809629540225228
+    assert 0 < obj["std_error"] < obj["estimate"]
+
+
+@pytest.mark.parametrize("fixture", ["she", "heat"])
+@pytest.mark.parametrize("target", ["wp", "besov_energy"])
+def test_estimate_refuses_p_below_1_before_any_scenario(
+    tmp_path, capsys, target, fixture
+):
+    cfg = write_config(tmp_path, {
+        "target": target, "fixture": fixture, "p": 0.5, "alpha": 0.3,
+        "n_mc": 2, "depth": 3, "n_atoms": 8,
+    })
+    out = tmp_path / "o"
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: p must be >= 1\n"
+    assert not any(out.iterdir())
 
 
 def test_estimate_besov_energy_and_lift_energy(tmp_path, capsys):

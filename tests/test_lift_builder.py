@@ -121,6 +121,25 @@ class TestMeasurePathSample:
         with pytest.raises(ValueError, match=r"slice k=2 \(t=0\.5\).*finite"):
             MeasurePathSample(atoms)
 
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    @pytest.mark.parametrize("fault,message", [
+        ("nan", "atoms must be finite"),
+        ("inf", "atoms must be finite"),
+        ("inf_end", "atoms must be finite"),
+        ("unsorted", "quantiles must be nondecreasing"),
+    ])
+    def test_each_fault_names_its_first_bad_slice(self, fault, message, k):
+        atoms = np.tile(np.arange(6.0), (9, 1))
+        for row in {k, 8}:  # a later bad slice is not the one named
+            if fault == "unsorted":
+                atoms[row, [2, 3]] = atoms[row, [3, 2]]
+            else:
+                col = -1 if fault == "inf_end" else 2
+                atoms[row, col] = np.nan if fault == "nan" else np.inf
+        with pytest.raises(ValueError) as info:
+            MeasurePathSample(atoms)
+        assert str(info.value) == f"slice k={k} (t={k / 8!r}): {message}"
+
     def test_atom_count_mismatch_names_its_slice(self):
         qs = [QuantileMeasure(np.zeros(4))] * 9
         qs[6] = QuantileMeasure(np.zeros(3))

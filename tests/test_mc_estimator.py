@@ -1,5 +1,7 @@
 """Monte Carlo layer: seed schedules, estimators, lift comparisons."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,30 @@ def test_expected_wp_single_sample_has_zero_se():
     nu = heat_flow_marginal(1.0, 16)
     est = expected_wp(lambda seed: (mu, nu), 2.0, McConfig(n_mc=1, base_seed=2))
     assert est.std_error == 0.0
+
+
+def test_power_of_two_scaling_leaves_the_std_bit_identical():
+    # what lets _estimate scale small values up before np.std
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        n = int(rng.integers(2, 50))
+        scale = 10.0 ** rng.uniform(-5, 5)
+        x = scale * (rng.uniform(-1, 1) + rng.standard_normal(n))
+        e = int(rng.integers(-60, 61))
+        assert np.std(np.ldexp(x, e), ddof=1) == np.ldexp(np.std(x, ddof=1), e)
+
+
+def test_standard_error_of_tiny_values_does_not_underflow():
+    values = np.array([1.0, 2.5, 3.0, 7.0])
+    est = mc_estimator._estimate(values, None)
+    # the squared deviations of these, about 1e-362, underflow to 0
+    tiny = mc_estimator._estimate(np.ldexp(values, -600), None)
+    assert tiny.mean == math.ldexp(est.mean, -600)
+    assert tiny.std_error == math.ldexp(est.std_error, -600) > 0
+    # never scaled down: a spread past the float range stays inf
+    with np.errstate(over="ignore"):
+        huge = mc_estimator._estimate(np.array([1e300, -1e300]), None)
+    assert huge.std_error == math.inf
 
 
 def test_expected_wp_is_seed_driven():
