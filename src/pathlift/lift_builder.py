@@ -32,6 +32,7 @@ from .path_norms import (
     _BLOCK_CELLS,
     DyadicPath,
     NormSpec,
+    _check_depth,
     _energy,
     _grid_index,
     _level_blocks,
@@ -82,6 +83,7 @@ class PathMeasure:
             arr = arr[:, :, None]
         if arr.ndim != 3 or arr.shape[0] == 0 or arr.shape[2] == 0:
             raise ValueError("paths must be a nonempty (N, K, d) array, d >= 1")
+        _check_depth(self.depth)
         if arr.shape[1] != 2 ** self.depth + 1:
             raise ValueError(
                 f"paths have {arr.shape[1]} grid points, expected "

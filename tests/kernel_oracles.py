@@ -10,7 +10,10 @@ are the level walk on a pair cost as it ran before levels came in row
 blocks: one array per level, summed whole. ``gap_weighted``,
 ``holder_max_rows`` and ``sobolev_sum_rows`` are the Holder and Sobolev
 kernels as they ran before they reduced by offset: row blocks of the pair
-cost, every cell weighted by its gap. ``seminorm_formula`` is each path
+cost, every cell weighted by its gap. ``offset_blocks_broadcast`` is
+``_PairCost.offset_blocks`` as it ran before its blocks subtracted a
+contiguous tile of the run: the window of sites minus the broadcast run,
+written straight into the block. ``seminorm_formula`` is each path
 seminorm as its own public function computed it before one dispatch
 priced paths, lifts and curves: its kernel called directly, with its own
 grid spacing, Holder exponent and root.
@@ -23,10 +26,12 @@ from pathlift import wasserstein_p_clouds
 from pathlift.lift_builder import _CurveCost
 from pathlift.path_norms import (
     _besov_sums,
+    _BLOCK_CELLS,
     _cost_blocks,
     _holder_max,
     _PairCost,
     _path_cost,
+    _pow_dist,
     _pvar_dp,
     _sobolev_sum,
 )
@@ -86,6 +91,24 @@ def sobolev_rows(values, h, alpha, p):
         d2 = np.einsum("jd,jd->j", diff, diff)
         total += 2.0 * float(np.sum(d2 ** (0.5 * p) / gap_pow[1 : k - i]))
     return total * h * h
+
+
+def offset_blocks_broadcast(cost):
+    """The (n, o, c) offset blocks of a _PairCost, each c the window of
+    sites ahead minus the broadcast run, subtracted into one buffer."""
+    sites, k, half = cost.atoms.transpose(1, 0, 2), cost.k, cost.k // 2
+    g = min(sites.shape[0], max(1, _BLOCK_CELLS // sites[0].size))
+    rows = max(1, _BLOCK_CELLS // (g * sites[0].size))
+    buf = np.empty(g * min(rows, half) * sites[0].size)
+    for n in range(0, sites.shape[0], g):
+        run = np.ascontiguousarray(sites[n : n + g])
+        x = np.concatenate([run, run[:, :half]], axis=1)
+        ahead = as_strided(x[:, 1:], x.shape[:1] + (half, k) + x.shape[2:],
+                           x.strides[:2] + x.strides[1:])
+        for o in range(1, half + 1, rows):
+            a, b = ahead[:, o - 1 : o - 1 + rows], x[:, None, :k]
+            diff = buf[: a.size].reshape(a.shape)
+            yield n, o, _pow_dist(np.subtract(a, b, out=diff), cost.p)
 
 
 def gap_weighted(cost, h, expos):

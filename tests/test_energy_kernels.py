@@ -23,6 +23,7 @@ from kernel_oracles import (
     level_walk,
     lift_energy_loop,
     marginal_distances,
+    offset_blocks_broadcast,
     pow_dist_power,
     pvar_pull,
     sobolev_rows,
@@ -239,6 +240,40 @@ def test_offset_kernels_match_row_blocks(k, dim, p):
             assert path_norms._sobolev_sum(cost, h, 0.45) == pytest.approx(
                 sobolev_sum_rows(cost, h, 0.45), rel=1e-14, abs=1e-300
             ), name
+
+
+def assert_same_offset_blocks(cost):
+    got = [(n, o, c.shape, c.tobytes()) for n, o, c in cost.offset_blocks()]
+    want = [(n, o, c.shape, c.tobytes())
+            for n, o, c in offset_blocks_broadcast(cost)]
+    assert got == want
+
+
+# K // 2 of 0 and 1, odd and even block heights and a short last block
+@pytest.mark.parametrize("k", [2, 3, 5, 9, 33, 1025])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.5, 4.0])
+def test_offset_blocks_match_broadcast_subtraction_on_paths(k, dim, p):
+    values = np.cumsum(np.random.default_rng(k + dim).standard_normal(
+        (k, dim)), axis=0)
+    cost = path_norms._path_cost(values, p)
+    assert_same_offset_blocks(cost)
+    assert_same_offset_blocks(cost.midpoints())
+
+
+# 127 paths of 257 sites fill a group, so 128 and 300 leave a ragged one
+@pytest.mark.parametrize("n", [1, 3, 127, 128, 300])
+@pytest.mark.parametrize("p", [1.0, 4.0])
+def test_offset_blocks_match_broadcast_subtraction_on_lifts(n, p):
+    lift = random_measure(np.random.default_rng(n), 8, n, False)
+    cost = _lift_cost(lift, p)
+    assert_same_offset_blocks(cost)
+    assert_same_offset_blocks(cost.midpoints())
+
+
+def test_offset_blocks_match_broadcast_subtraction_on_an_she_lift():
+    lift = stochastic_heat_scenario(5, 8, 1024, with_lift=True).lift
+    assert_same_offset_blocks(_lift_cost(lift, 4.0))
 
 
 def random_measure(gen, depth, n, uniform, dim=1):

@@ -13,6 +13,7 @@ from kernel_oracles import seminorm_formula
 from pathlift import (
     DyadicPath,
     NormSpec,
+    PathMeasure,
     besov_seminorm,
     embedding_report,
     frac_sobolev_seminorm,
@@ -75,6 +76,19 @@ class TestDyadicPath:
     def test_times_match_horizon(self):
         path = DyadicPath(1, np.zeros(3), horizon=2.0)
         assert np.array_equal(path.times(), [0.0, 1.0, 2.0])
+
+
+# int() of inf or nan raised its own error, and a negative or fractional
+# depth reached the grid count check with 2 ** depth + 1 grid points
+@pytest.mark.parametrize("depth", [-1, 1.5, math.inf, math.nan])
+@pytest.mark.parametrize("make", [
+    lambda depth: DyadicPath(depth, np.zeros(3)),
+    lambda depth: PathMeasure(depth, np.zeros((1, 3, 1)), np.ones(1)),
+], ids=["DyadicPath", "PathMeasure"])
+def test_constructors_refuse_a_bad_depth(make, depth):
+    with pytest.raises(ValueError) as err:
+        make(depth)
+    assert str(err.value) == "depth must be a nonnegative integer"
 
 
 class TestNormSpec:
