@@ -242,6 +242,14 @@ class _CurveCost(_PairCost):
     def midpoints(self):
         raise ValueError("curve energy supports besov, holder and pvar kinds")
 
+    def pvar_sites(self):
+        # every site: one dissection serves all atoms of a slice, so the
+        # turning points of each atom's own path need not hold one
+        return self
+
+    def flat(self) -> bool:
+        return bool(np.all(self.atoms == self.atoms[:1]))
+
     def offset_blocks(self):
         # one offset row a block, from __call__ on runs of at most
         # _BLOCK_CELLS cells split at the wrap K - o, each pair as i < j
@@ -275,6 +283,18 @@ class _CloudCost(_CurveCost):
                 *self.clouds[ii[pos]], *self.clouds[jj[pos]], self.p
             )
         return out
+
+    def flat(self) -> bool:
+        # equal measures: the same values, each run of ties carrying the
+        # same cumulative weight at its last atom (the order of tied atoms,
+        # and so the weights within a run, may differ from site to site)
+        def measure(v, c):
+            last = np.append(v[1:] != v[:-1], True)
+            return v[last], c[last]
+
+        first = measure(*self.clouds[0])
+        return all(np.array_equal(a, b) for cloud in self.clouds[1:]
+                   for a, b in zip(measure(*cloud), first))
 
 
 def lift_energy(pi: PathMeasure, spec: NormSpec) -> float:

@@ -26,7 +26,10 @@ the weighted sum of its path energies. A measure curve is one atom of
 weight 1 whose pair cost is W_p^p between slices i and j, so a curve
 energy is the same kernel run on that cost. Holder and Sobolev reduce by
 offset j - i, p-variation by rows, in blocks of bounded size, so memory
-stays bounded; the offset blocks of one call share one buffer.
+stays bounded; the offset blocks of one call share one buffer. For p > 1
+the p-variation DP of a d = 1 path or lift visits only its turning points
+(``_PairCost.pvar_sites``), and a ``DyadicPath`` computes its Holder offset
+maxima, which do not depend on p, once for all its reports.
 
 ``_energy`` is the one place that maps a norm kind to its kernel: the
 seminorms of a path, the lift energies and the curve energies all go
@@ -35,6 +38,7 @@ through it, each with its own pair cost.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, TextIO
 
 import numpy as np
@@ -74,9 +78,13 @@ class DyadicPath:
     depth : int
         Dyadic level M >= 0; the grid has 2^M + 1 points.
     values : array_like, shape (2^M + 1,) or (2^M + 1, d)
-        Path values; one row per grid point.
+        Path values; one row per grid point. The path keeps a read-only
+        copy, so a later write to the caller's array changes nothing here.
     horizon : float
         Physical length T > 0 of the time interval. Defaults to 1.
+
+    The path's Holder offset maxima, which depend on its values alone, are
+    computed on first use and kept (read-only) for every later report.
     """
 
     depth: int
@@ -84,7 +92,7 @@ class DyadicPath:
     horizon: float = 1.0
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.ndim != 2 or vals.shape[1] == 0:
@@ -99,9 +107,20 @@ class DyadicPath:
             raise ValueError("path values must be finite")
         if not (self.horizon > 0 and np.isfinite(self.horizon)):
             raise ValueError("horizon must be a positive real")
+        vals.flags.writeable = False
         object.__setattr__(self, "depth", int(self.depth))
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "horizon", float(self.horizon))
+
+    @cached_property
+    def _holder_maxima(self) -> tuple:
+        """(m, offs): max |X_j - X_i| at each offset j - i, as
+        ``_offset_reduce`` returns it; read-only, since every later report
+        on the path reads it."""
+        maxima = _offset_reduce(_path_cost(self.values, 1.0), np.maximum)
+        for a in maxima:
+            a.flags.writeable = False
+        return maxima
 
     @property
     def dim(self) -> int:
@@ -223,6 +242,36 @@ class _PairCost:
         return _PairCost(0.5 * (self.atoms[:-1] + self.atoms[1:]),
                          self.weights, self.p)
 
+    def pvar_sites(self) -> "_PairCost":
+        """The cost on the sites the p-variation DP must visit.
+
+        For d = 1 and p > 1 these are, in the union over columns, the two
+        ends, every strict sign change of the increment and the first site
+        of each flat run entered by a nonzero step. Take an interior point
+        of a dissection inside a monotone run: if its value lies between
+        its neighbours in the dissection, dropping it gains, as
+        |a + b|^p > |a|^p + |b|^p; if not, moving it to the run's end gains
+        on both sides. So an optimal dissection of each column keeps to
+        its turning points, and a union of such sets serves every column.
+        p = 1 (where dropping a point of a monotone run is an equality,
+        so another dissection could round differently) and d > 1 keep
+        every site.
+        """
+        if self.p == 1 or self.atoms.shape[2] != 1:
+            return self
+        s = np.sign(np.diff(self.atoms[..., 0], axis=0))
+        turns = (s[:-1] * s[1:] < 0) | ((s[:-1] != 0) & (s[1:] == 0))
+        keep = np.concatenate([[True], turns.any(axis=1), [True]])
+        if keep.all():
+            return self
+        return _PairCost(self.atoms[keep], self.weights, self.p)
+
+    def flat(self) -> bool:
+        """Whether every weighted column holds one value at all sites, so
+        that every pair cost is exactly 0."""
+        a = self.atoms[:, self.weights > 0]
+        return bool(np.all(a == a[:1]))
+
     def offset_blocks(self):
         """Yields (n, o, c), c[q, r, i] = cost(i, (i + o + r) mod K)[n + q],
         rows 1..K//2 of circular offsets in blocks of at most _BLOCK_CELLS
@@ -338,16 +387,15 @@ def _offset_reduce(cost, ufunc) -> tuple:
     return m[:, : k - 1], np.stack([offs, k - offs], axis=1).ravel()[: k - 1]
 
 
-def _holder_max(cost, h: float, expos) -> list:
-    """w . max_{i<j} cost(i, j) / (h (j - i))^expo, one per exponent.
+def _holder_max(maxima: tuple, weights: np.ndarray, h: float, expos) -> list:
+    """w . max_{i<j} cost(i, j) / (h (j - i))^expo, one per exponent, from
+    the offset maxima (m, offs) of ``_offset_reduce``, which it only reads.
 
     Each offset's maximum is weighted once: max fl(g c_i) = fl(g max c_i).
     """
-    m, offs = _offset_reduce(cost, np.maximum)
-    gaps = [(h * offs) ** -e for e in expos]
-    quots = [m * g for g in gaps[:-1]] + [np.multiply(m, gaps[-1], out=m)]
-    return [float(cost.weights @ np.max(q, axis=1, initial=0.0))
-            for q in quots]
+    m, offs = maxima
+    return [float(weights @ np.max(m * (h * offs) ** -e, axis=1, initial=0.0))
+            for e in expos]
 
 
 def _sobolev_sum(cost, h: float, alpha: float) -> float:
@@ -356,25 +404,41 @@ def _sobolev_sum(cost, h: float, alpha: float) -> float:
     h^2 sum_{i != j} w . cost(m_i, m_j) / (h |j - i|)^{1 + alpha p} over
     the cell midpoints m_i, by symmetry.
     """
-    m, offs = _offset_reduce(cost.midpoints(), np.add)
+    mids = cost.midpoints()
+    m, offs = _offset_reduce(mids, np.add)
     total = m @ (h * offs) ** -(1.0 + alpha * cost.p)
-    return 2.0 * float(cost.weights @ total) * h * h
+    return _nonzero(2.0 * float(cost.weights @ total) * h * h, mids,
+                    "frac_sobolev")
 
 
 def _pvar_dp(cost) -> float:
     """w . the largest sum of cost along the points of a dissection.
 
-    Exact O(K^2) dynamic program, each column on its own: best[j] is the
-    largest sum over dissections of sites 0..j that end at j. Rows come in
-    order, so best[i] is final when row i pushes best[i] + cost(i, j) to
-    every j > i.
+    Exact O(K^2) dynamic program, each column on its own, over the sites
+    ``cost.pvar_sites`` keeps (about half of a random walk's): best[j] is
+    the largest sum over dissections of the kept sites 0..j that end at j.
+    Rows come in order, so best[i] is final when row i pushes
+    best[i] + cost(i, j) to every j > i.
     """
+    cost = cost.pvar_sites()
     best = np.zeros((cost.k, cost.weights.size))
     for i0, c in _cost_blocks(cost):
         for r in range(c.shape[0]):
             tail = best[i0 + r + 1 :]
             np.maximum(tail, best[i0 + r] + c[r, r + 1 :], out=tail)
     return float(cost.weights @ best[-1])
+
+
+def _nonzero(energy: float, cost, kind: str) -> float:
+    """energy, refused with FloatingPointError when it is 0.0 although the
+    sites of the cost differ: their pair costs underflowed (a large p on
+    small increments). Sites are compared only for a 0.0 energy."""
+    if energy == 0.0 and not cost.flat():
+        raise FloatingPointError(
+            f"the {kind} energy underflows to 0.0 at p={cost.p!r}: the "
+            f"sites differ, but their pair costs |dX|^p leave the float range"
+        )
+    return energy
 
 
 def _energy(cost: _PairCost, spec: NormSpec, horizon: float) -> float:
@@ -391,18 +455,23 @@ def _energy(cost: _PairCost, spec: NormSpec, horizon: float) -> float:
       midpoints (a curve's) refuses it
 
     Each atom's energy is taken on its own and weighted last, so a lift
-    pays sum_j w_j seminorm(path_j)^p; a curve pays its W_p energy.
+    pays sum_j w_j seminorm(path_j)^p; a curve pays its W_p energy. An
+    energy that underflows to 0.0 raises (see ``_nonzero``).
     """
     h = horizon / (cost.k - 1)
+    if spec.kind == "frac_sobolev":
+        return _sobolev_sum(cost, h, spec.alpha)
     if spec.kind == "besov":
         if horizon != 1.0:
             raise ValueError("besov seminorm requires horizon 1")
-        return float(cost.weights @ _besov_sums(cost, spec.alpha, spec.p))
-    if spec.kind == "holder":
-        return _holder_max(cost, h, (spec.gamma * cost.p,))[0]
-    if spec.kind == "pvar":
-        return _pvar_dp(cost)
-    return _sobolev_sum(cost, h, spec.alpha)
+        energy = float(cost.weights @ _besov_sums(cost, spec.alpha, spec.p))
+    elif spec.kind == "holder":
+        maxima = _offset_reduce(cost, np.maximum)
+        energy = _holder_max(maxima, cost.weights, h,
+                             (spec.gamma * cost.p,))[0]
+    else:
+        energy = _pvar_dp(cost)
+    return _nonzero(energy, cost, spec.kind)
 
 
 def _grid_index(t: float, depth: int) -> int:
@@ -426,7 +495,9 @@ def holder_seminorm(path: DyadicPath, gamma: float) -> float:
 def p_variation(path: DyadicPath, p: float) -> float:
     """p-variation over all dissections made of grid points.
 
-    Exact O(K^2) dynamic program over the grid points (see ``_pvar_dp``).
+    Exact O(K^2) dynamic program over the grid points (see ``_pvar_dp``);
+    for p > 1 and d = 1 an optimal dissection keeps to the path's turning
+    points, and the program visits only those.
     """
     return NormSpec(kind="pvar", p=p).seminorm(path)
 
@@ -519,9 +590,9 @@ def embedding_report(
     w_energy = _sobolev_sum(_path_cost(path.values, p), h, alpha)
     w = w_energy ** (1.0 / p)
 
-    # both Holder maxima come from one pass over the pairwise distances
+    # both Holder quotients weight the path's one set of offset maxima
     holder_lhs, holder_gamma = _holder_max(
-        _path_cost(path.values, 1.0), h, (alpha - 1.0 / p, gamma)
+        path._holder_maxima, np.ones(1), h, (alpha - 1.0 / p, gamma)
     )
     cbar_rhs = cbar * w
 

@@ -16,7 +16,9 @@ contiguous tile of the run: the window of sites minus the broadcast run,
 written straight into the block. ``seminorm_formula`` is each path
 seminorm as its own public function computed it before one dispatch
 priced paths, lifts and curves: its kernel called directly, with its own
-grid spacing, Holder exponent and root.
+grid spacing, Holder exponent and root. ``pvar_dp_all_sites`` is
+``_pvar_dp`` as it ran before it visited only the turning points: the
+same dynamic program over every grid site.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from pathlift.path_norms import (
     _BLOCK_CELLS,
     _cost_blocks,
     _holder_max,
+    _offset_reduce,
     _PairCost,
     _path_cost,
     _pow_dist,
@@ -55,7 +58,8 @@ def seminorm_formula(path, spec):
     h = path.horizon / (path.n_points - 1)
     p = spec.p
     if spec.kind == "holder":
-        return _holder_max(_path_cost(path.values, 1.0), h, (spec.gamma,))[0]
+        maxima = _offset_reduce(_path_cost(path.values, 1.0), np.maximum)
+        return _holder_max(maxima, np.ones(1), h, (spec.gamma,))[0]
     if spec.kind == "pvar":
         return _pvar_dp(_path_cost(path.values, p)) ** (1.0 / p)
     if spec.kind == "besov":
@@ -146,6 +150,16 @@ def sobolev_sum_rows(cost, h, alpha):
     for (q,) in gap_weighted(mids, h, (1.0 + alpha * cost.p,)):
         total += q.sum(axis=(0, 1))
     return 2.0 * float(cost.weights @ total) * h * h
+
+
+def pvar_dp_all_sites(cost):
+    """w . the largest sum of cost along a dissection, over every site."""
+    best = np.zeros((cost.k, cost.weights.size))
+    for i0, c in _cost_blocks(cost):
+        for r in range(c.shape[0]):
+            tail = best[i0 + r + 1 :]
+            np.maximum(tail, best[i0 + r] + c[r, r + 1 :], out=tail)
+    return float(cost.weights @ best[-1])
 
 
 def pvar_pull(values, p):

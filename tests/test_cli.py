@@ -138,6 +138,16 @@ def test_norms_error_paths(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_norms_refuses_an_energy_that_underflows(tmp_path, capsys):
+    tiny = DyadicPath(2, 1e-3 * np.array([0.0, 1.0, -1.0, 2.0, 0.5]))
+    cfg = write_config(tmp_path, {
+        "input": write_path_csv(tmp_path, tiny, "tiny.csv"),
+        "norms": [{"kind": "pvar", "p": 200.0}],
+    })
+    assert main(["norms", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "pvar energy underflows to 0.0 at p=200.0" in capsys.readouterr().err
+
+
 def test_norms_rejects_a_path_file_without_value_columns(tmp_path, capsys):
     times_only = tmp_path / "t.csv"
     times_only.write_text("t\r\n0\r\n0.5\r\n1\r\n", encoding="utf-8")

@@ -25,6 +25,7 @@ from kernel_oracles import (
     marginal_distances,
     offset_blocks_broadcast,
     pow_dist_power,
+    pvar_dp_all_sites,
     pvar_pull,
     sobolev_rows,
     sobolev_sum_rows,
@@ -49,7 +50,7 @@ from pathlift import (
 )
 from pathlift import path_norms
 from pathlift.lift_builder import _CloudCost, _CurveCost, _lift_cost
-from pathlift.path_norms import _energy, _PairCost
+from pathlift.path_norms import _energy, _PairCost, _path_cost, _pvar_dp
 
 REL = 1e-12
 
@@ -99,6 +100,115 @@ def test_pvar_matches_row_dp(depth, dim):
     assert p_variation(path, p) ** p == pytest.approx(
         pvar_pull(path.values, p), rel=REL
     )
+
+
+PVAR_PS = (1.0, 1.5, 2.0, 2.5, 10 / 3, 4.0, 7.0)
+
+
+def d1_walks(gen, k):
+    """Walks on k sites: Gaussian, {-1, 0, 1} steps, with plateaus and
+    monotone, each starting at 0."""
+    steps = [
+        gen.standard_normal(k - 1),
+        gen.integers(-1, 2, k - 1).astype(float),
+        np.where(gen.random(k - 1) < 0.4, 0.0, gen.standard_normal(k - 1)),
+        np.abs(gen.standard_normal(k - 1)),
+    ]
+    return [np.concatenate([[0.0], np.cumsum(s)]) for s in steps]
+
+
+def assert_pvar_keeps_its_bits(cost):
+    assert _pvar_dp(cost).hex() == pvar_dp_all_sites(cost).hex()
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_turning_point_pvar_matches_all_sites_on_walks(depth):
+    gen = np.random.default_rng(300 + depth)
+    for values in d1_walks(gen, 2 ** depth + 1):
+        for p in PVAR_PS:
+            assert_pvar_keeps_its_bits(_path_cost(values[:, None], p))
+        # the sign test, not a product of increments, which underflows
+        # at this scale; |dX|^p stays in range at these p
+        for scale, ps in ((1e-150, (1.5, 2.0)), (1e-200, (1.5,))):
+            for p in ps:
+                assert_pvar_keeps_its_bits(
+                    _path_cost(scale * values[:, None], p))
+
+
+@pytest.mark.parametrize("depth,n", [(3, 3), (6, 17), (8, 5)])
+def test_turning_point_pvar_matches_all_sites_on_weighted_lifts(depth, n):
+    gen = np.random.default_rng(depth + n)
+    pi = random_measure(gen, depth, n, False)
+    paths = pi.paths.copy()
+    paths[gen.random(paths.shape) < 0.3] = 0.0  # plateaus and repeats
+    pi = PathMeasure(depth=depth, paths=paths, weights=pi.weights)
+    for p in PVAR_PS:
+        assert_pvar_keeps_its_bits(_lift_cost(pi, p))
+
+
+def test_turning_point_pvar_matches_all_sites_on_she_and_d2():
+    scn = stochastic_heat_scenario(5, 6, 256, with_lift=True)
+    values = gaussian_path(7, 8, dim=2).values
+    for p in PVAR_PS:
+        assert_pvar_keeps_its_bits(_lift_cost(scn.lift, p))
+        assert_pvar_keeps_its_bits(_CurveCost(scn.measure_path.atoms, p))
+        assert_pvar_keeps_its_bits(_path_cost(values, p))
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_turning_point_pvar_on_every_unit_step_path(depth, p):
+    # every path of K <= 9 sites with steps in {-1, 0, 1}
+    k = 2 ** depth + 1
+    grids = np.meshgrid(*[[-1.0, 0.0, 1.0]] * (k - 1), indexing="ij")
+    steps = np.stack([g.ravel() for g in grids], axis=1)
+    for row in steps:
+        values = np.concatenate([[0.0], np.cumsum(row)])[:, None]
+        assert_pvar_keeps_its_bits(_path_cost(values, p))
+
+
+def test_turning_points_are_at_most_sixty_percent_of_a_walk():
+    values = gaussian_path(9, 10).values
+    assert _path_cost(values, 2.5).pvar_sites().k <= 0.6 * values.shape[0]
+    # p = 1 and d > 1 visit every site
+    assert _path_cost(values, 1.0).pvar_sites().k == values.shape[0]
+    values2 = gaussian_path(9, 10, dim=2).values
+    assert _path_cost(values2, 2.5).pvar_sites().k == values2.shape[0]
+
+
+def test_turning_points_of_a_walk_with_plateaus():
+    # the ends, sign changes and the first site of each plateau entered by
+    # a nonzero step: sites 0, 1 (peak), 3 (plateau 3..5), 7 (plateau 7..8)
+    # and 8; the run 0.5 -> 0.7 -> 1.0 keeps neither 6 nor a sign change
+    values = np.array([0.0, 2.0, 1.0, 0.5, 0.5, 0.5, 0.7, 1.0, 1.0])
+    kept = _path_cost(values[:, None], 2.0).pvar_sites().atoms[:, 0, 0]
+    assert kept.tolist() == values[[0, 1, 3, 7, 8]].tolist()
+
+
+def test_curve_costs_keep_every_site():
+    scn = stochastic_heat_scenario(5, 5, 64, with_lift=True)
+    curve = _CurveCost(scn.measure_path.atoms, 2.5)
+    assert curve.pvar_sites() is curve
+    gen = np.random.default_rng(2)
+    w = gen.uniform(0.1, 1.0, 64)
+    cloud = _CloudCost(scn.lift.paths.transpose(1, 0, 2), w / w.sum(), 2.5)
+    assert cloud.pvar_sites() is cloud
+
+
+@pytest.mark.parametrize("depth", range(11))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cached_holder_maxima_match_row_blocks(depth, dim):
+    path = gaussian_path(50 + depth, depth, dim)
+    h = 1.0 / (path.n_points - 1)
+    cost = _path_cost(path.values, 1.0)
+    for alpha, p in ((0.6, 2.0), (0.3, 4.0), (0.6, 2.0)):
+        gamma = 0.5 * (alpha + 1.0)
+        rep = embedding_report(path, alpha, p, include_pvar=False)
+        lhs, hol = holder_max_rows(cost, h, (alpha - 1.0 / p, gamma))
+        dpow = (gamma - alpha) * p
+        assert rep.holder_lhs == lhs
+        assert rep.holder_to_ws_bound == (
+            hol ** p * 2.0 * 1.0 ** (dpow + 1) / (dpow * (dpow + 1)))
 
 
 @pytest.mark.parametrize("depth,dim", SIZES)
@@ -228,7 +338,8 @@ def offset_costs(k, dim, p, seed):
 def test_offset_kernels_match_row_blocks(k, dim, p):
     h, expos = 1.0 / max(1, k - 1), (0.3, 0.8, 1.0)
     for name, cost in offset_costs(k, dim, p, 10 * k + dim).items():
-        got = path_norms._holder_max(cost, h, expos)
+        got = path_norms._holder_max(
+            path_norms._offset_reduce(cost, np.maximum), cost.weights, h, expos)
         want = holder_max_rows(cost, h, expos)
         if name == "curve":
             # each W_p^p cell is a BLAS product over the atoms, and its last

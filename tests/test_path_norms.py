@@ -23,7 +23,9 @@ from pathlift import (
     path_from_csv,
     path_to_csv,
 )
-from pathlift.path_norms import _grid_index
+from pathlift import path_norms
+from pathlift.mc_estimator import McConfig, _scenario_values
+from pathlift.path_norms import _grid_index, _PairCost
 
 
 def linear_path(depth, slope=1.0):
@@ -386,6 +388,92 @@ def test_embedding_report_overflow_names_the_bound_and_p():
     assert "p=200.0" in str(info.value)
 
 
+def test_two_reports_reduce_the_holder_maxima_once(monkeypatch):
+    calls = []
+    reduce = path_norms._offset_reduce
+
+    def counting(cost, ufunc):
+        calls.append(ufunc)
+        return reduce(cost, ufunc)
+
+    monkeypatch.setattr(path_norms, "_offset_reduce", counting)
+    path = random_path(3, 8)
+    first = embedding_report(path, 0.3, 4.0, include_pvar=False)
+    second = embedding_report(path, 0.6, 2.0, include_pvar=False)
+    assert calls.count(np.maximum) == 1
+    assert calls.count(np.add) == 2  # one Sobolev sum a report
+    assert embedding_report(path, 0.3, 4.0, include_pvar=False) == first
+    assert second.holder_lhs > 0
+    assert not any(a.flags.writeable for a in path._holder_maxima)
+
+
+def test_path_values_are_a_read_only_copy():
+    values = np.cumsum(np.random.default_rng(4).standard_normal(65))
+    path = DyadicPath(6, values)
+    with pytest.raises(ValueError):
+        path.values[3, 0] = 1.0
+    before = embedding_report(path, 0.6, 2.0)
+    kept = path.values.copy()
+    values[:] = 0.0
+    assert np.array_equal(path.values, kept)
+    assert embedding_report(path, 0.6, 2.0) == before
+
+
+def tiny_walk():
+    # every |dX|^200 and |X_j - X_i|^200 is below the float range
+    gen = np.random.default_rng(0)
+    return DyadicPath(6, 1e-3 * np.concatenate(
+        [[0.0], np.cumsum(gen.standard_normal(64))]))
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("pvar", {}), ("besov", {"alpha": 0.3}), ("frac_sobolev", {"alpha": 0.3}),
+])
+def test_an_energy_that_underflows_raises_naming_kind_and_p(kind, extra):
+    spec = NormSpec(kind=kind, p=200.0, **extra)
+    with pytest.raises(FloatingPointError) as info:
+        spec.seminorm(tiny_walk())
+    assert kind in str(info.value) and "p=200.0" in str(info.value)
+    # a constant path still prices 0.0
+    assert spec.seminorm(DyadicPath(6, np.full(65, 0.7))) == 0.0
+
+
+def test_embedding_report_refuses_an_underflowing_sobolev_energy():
+    # it read w_energy 0.0 and flagged false violations ("holder", "pvar")
+    with pytest.raises(FloatingPointError, match="frac_sobolev.*p=200.0"):
+        embedding_report(tiny_walk(), alpha=0.3, p=200.0)
+    rep = embedding_report(DyadicPath(6, np.full(65, 0.7)), 0.3, 200.0)
+    assert rep.w_energy == 0.0 and rep.ok
+
+
+def test_an_underflow_names_the_scenario_seed():
+    spec = NormSpec(kind="pvar", p=200.0)
+    with pytest.raises(FloatingPointError, match=r"seed \d+"):
+        _scenario_values(lambda seed: spec.seminorm(tiny_walk()),
+                         McConfig(n_mc=2, base_seed=5))
+
+
+def test_sites_are_compared_only_for_a_zero_energy(monkeypatch):
+    calls = []
+    flat = _PairCost.flat
+    monkeypatch.setattr(_PairCost, "flat",
+                        lambda cost: calls.append(cost) or flat(cost))
+    path = random_path(5, 5)
+    for kind, extra in (("pvar", {}), ("besov", {"alpha": 0.6}),
+                        ("holder", {"gamma": 0.5}),
+                        ("frac_sobolev", {"alpha": 0.6})):
+        NormSpec(kind=kind, p=3.0, **extra).seminorm(path)
+    embedding_report(path, 0.6, 3.0)
+    assert calls == []
+    NormSpec(kind="pvar", p=3.0).seminorm(DyadicPath(5, np.zeros(33)))
+    assert len(calls) == 1
+
+
+def test_flat_midpoints_price_zero_without_raising():
+    # a zigzag's cell midpoints are all equal: its Sobolev energy is 0.0
+    assert frac_sobolev_seminorm(zigzag_path(), 0.6, 2.0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # scaling properties
 
@@ -408,9 +496,17 @@ def test_seminorms_are_absolutely_homogeneous(values, lam):
         lambda q: besov_seminorm(q, 0.75, 2.0),
         lambda q: frac_sobolev_seminorm(q, 0.75, 2.0),
     ):
-        assert compute(scaled) == pytest.approx(
-            abs(lam) * compute(path), rel=1e-9, abs=1e-9
-        )
+        try:
+            want = abs(lam) * compute(path)
+            got = compute(scaled)
+        except FloatingPointError:
+            # an energy refuses to read 0.0 when every |dX|^2 underflows,
+            # which takes the steps of one of the paths below 1e-150
+            steps = [np.abs(np.diff(q.values, axis=0)).max()
+                     for q in (path, scaled)]
+            assert min(steps) ** 2 < 1e-300
+            continue
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -425,7 +521,11 @@ def test_besov_dominates_single_level(values):
     # the m = 0 term |X_1 - X_0|^p is one summand of the energy
     path = DyadicPath(2, np.asarray(values))
     single = abs(values[-1] - values[0])
-    assert besov_seminorm(path, 0.75, 2.0) >= single - 1e-12
+    try:
+        assert besov_seminorm(path, 0.75, 2.0) >= single - 1e-12
+    except FloatingPointError:
+        # every |dX|^2 underflowed, so the energy refuses to read 0.0
+        assert single ** 2 < 1e-300
 
 
 # ---------------------------------------------------------------------------
