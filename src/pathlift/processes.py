@@ -6,13 +6,18 @@ the reference fixtures for everything else in the package: lifts built
 from their quantile curves have known energies, and the two particle
 representations (independent noise B + W versus quantile trajectories
 driven by W alone) bracket the variational problem from above and below.
-Each curve is built as one (K, N) quantile array in a single broadcast,
-W_{t_k} + sqrt(t_k) * c_j, with no per-slice objects.
+Each curve is one (K, N) quantile array, W_{t_k} + sqrt(t_k) * c_j, with
+no per-slice objects. The heat curve sqrt(t_k) * c_j owes nothing to the
+seed: it is built once per (depth, N), kept read-only, and a scenario
+adds its W to it in one pass, with the products and sums of one
+broadcast.
 
 Brownian paths are generated by dyadic midpoint (bridge) refinement with
 one RNG stream per level, so deepening the grid never changes the values
 already produced at coarser levels. This is what makes refinement
 studies meaningful: level n and level n + 1 describe the same outcome.
+All levels are written in place into one buffer, by the operations of a
+level-by-level build in the same order, so the values keep their bits.
 
 The Euler-Maruyama integrator targets dX = b dt + alpha dB + sigma dW
 with alpha = (2a - sigma sigma^T)^{1/2}. ``euler_flow`` steps n particles
@@ -46,7 +51,7 @@ from .lift_builder import (
     PathMeasure,
     build_dyadic_lift,
 )
-from .path_norms import DyadicPath, _grid_index
+from .path_norms import DyadicPath, _check_depth, _grid_index
 from .quantile_transport import QuantileMeasure, midpoint_grid
 
 __all__ = [
@@ -118,6 +123,13 @@ def gaussian_quantile(q):
     return out.reshape(q.shape)[()]
 
 
+def _positive_int(value, what: str) -> int:
+    """value as an int, refusing zero, negatives, fractions, inf and NaN."""
+    if not (1 <= value < math.inf and int(value) == value):
+        raise ValueError(f"{what} must be positive")
+    return int(value)
+
+
 @functools.lru_cache(maxsize=16)
 def _normal_atoms(n: int) -> np.ndarray:
     """The standard normal quantiles of ``midpoint_grid(n)``, read-only."""
@@ -133,22 +145,28 @@ def _bridge_values(seed, stream, depth, dim, count=None):
     the level-m grid are identical for every depth >= m. Returns
     (2^depth + 1, dim), or (count, 2^depth + 1, dim) when count is given
     (count independent paths sharing the stream family).
+
+    Every level is written in place into one zeroed buffer: the parents
+    of level m sit s = 2^(depth - m + 1) apart and its midpoints halfway
+    between. A midpoint is the sum of its parents, halved, plus the scaled
+    draw: the operations of a level-by-level build in the same order, so
+    the values keep their bits.
     """
-    n = 1 if count is None else int(count)
-    levels = _rng.streams(seed, (f"{stream}/L{m}" for m in range(depth + 1)))
-    values = np.zeros((n, 2, dim))
-    values[:, 1, :] = next(levels).standard_normal((n, dim))
+    n = 1 if count is None else count
+    size = 2 ** depth
+    v = np.zeros((n, size + 1, dim))
+    levels = _rng.level_streams(seed, stream, depth)
+    v[:, size] = next(levels).standard_normal((n, dim))
     for m, gen in enumerate(levels, start=1):
-        prev = values
-        k = prev.shape[1] - 1
-        z = gen.standard_normal((n, k, dim))
+        s = size >> (m - 1)
+        mids = v[:, s // 2::s]
+        z = gen.standard_normal(mids.shape)
         # conditional midpoint: mean of the endpoints, variance dt/4
-        mids = 0.5 * (prev[:, :-1] + prev[:, 1:]) + np.sqrt(2.0 ** -m / 2.0) * z
-        nxt = np.empty((n, 2 * k + 1, dim))
-        nxt[:, 0::2] = prev
-        nxt[:, 1::2] = mids
-        values = nxt
-    return values[0] if count is None else values
+        np.add(v[:, :-1:s], v[:, s::s], out=mids)
+        mids *= 0.5
+        z *= np.sqrt(2.0 ** -m / 2.0)
+        mids += z
+    return v[0] if count is None else v
 
 
 @dataclass(frozen=True)
@@ -166,10 +184,9 @@ class BrownianPath:
     path: DyadicPath = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        _check_depth(self.depth)
+        object.__setattr__(self, "depth", int(self.depth))
+        object.__setattr__(self, "dim", _positive_int(self.dim, "dim"))
         values = _bridge_values(self.seed, "W", self.depth, self.dim)
         object.__setattr__(self, "path", DyadicPath(self.depth, values))
 
@@ -220,10 +237,18 @@ def heat_flow_marginal(t: float, n: int) -> QuantileMeasure:
     return QuantileMeasure(np.sqrt(t) * _normal_atoms(n))
 
 
+@functools.lru_cache(maxsize=4)
+def _heat_curve(depth: int, n: int) -> np.ndarray:
+    """The (2^depth + 1, n) heat curve sqrt(t_k) * c_j, built once, read-only."""
+    times = np.linspace(0.0, 1.0, 2 ** depth + 1)
+    h = np.sqrt(times)[:, None] * _normal_atoms(n)
+    h.setflags(write=False)
+    return h
+
+
 def heat_flow_path(depth: int, n: int) -> MeasurePathSample:
     """The curve t -> N(0, t) on the level-`depth` grid, sqrt(t_k) * c_j."""
-    times = np.linspace(0.0, 1.0, 2 ** depth + 1)
-    return MeasurePathSample(np.sqrt(times)[:, None] * _normal_atoms(n))
+    return MeasurePathSample(_heat_curve(depth, n))
 
 
 def stochastic_heat_scenario(
@@ -243,15 +268,14 @@ def stochastic_heat_scenario(
 
 
 def _she_atoms(w: BrownianPath, n: int) -> np.ndarray:
-    """The (K, n) atoms W_{t_k} + sqrt(t_k) ndtri(u_j), W added in place."""
-    atoms = np.sqrt(w.times())[:, None] * _normal_atoms(n)
-    return np.add(atoms, w.values, out=atoms)
+    """The (K, n) atoms W_{t_k} + sqrt(t_k) ndtri(u_j): W plus the heat curve."""
+    return np.add(_heat_curve(w.depth, n), w.values)
 
 
 def brownian_bundle(seed: int, depth: int, count: int) -> PathMeasure:
     """count iid Brownian paths in R as an equal-weight path measure."""
-    if count < 1:
-        raise ValueError("count must be positive")
+    _check_depth(depth)
+    depth, count = int(depth), _positive_int(count, "count")
     return PathMeasure(
         depth=depth,
         paths=_bridge_values(seed, "B", depth, 1, count=count),
@@ -273,8 +297,7 @@ def independent_particle_paths(
 
 def _independent_paths(w: BrownianPath, seed2: int, count: int) -> PathMeasure:
     """``independent_particle_paths`` on the common noise W alone."""
-    if count < 1:
-        raise ValueError("count must be positive")
+    count = _positive_int(count, "count")
     b = _bridge_values(seed2, "B", w.depth, w.dim, count=count)
     return PathMeasure(
         depth=w.depth,

@@ -82,7 +82,22 @@ def wasserstein_p(mu: QuantileMeasure, nu: QuantileMeasure, p: float) -> float:
             "wasserstein_p_clouds takes measures of any sizes"
         )
     diff = (mu.quantiles - nu.quantiles)[:, None]
-    return float(np.mean(_pow_dist(diff, p)) ** (1.0 / p))
+    mean = np.mean(_pow_dist(diff, p))
+    if mean == 0.0:
+        return _rescaled_root(
+            lambda d: np.mean(_pow_dist(d[:, None], p)),
+            mu.quantiles - nu.quantiles, p,
+        )
+    return float(mean ** (1.0 / p))
+
+
+def _rescaled_root(cost, diff: np.ndarray, p: float) -> float:
+    """The p-th root of cost(diff), a cost homogeneous of degree p whose
+    plain value underflowed to 0.0: s * cost(diff / s) ** (1/p) with
+    s = max |diff|, or 0.0 when every difference is 0.0. Only the 0.0
+    results take this path, so every nonzero one keeps its bits."""
+    s = np.abs(diff).max()
+    return float(s * cost(diff / s) ** (1.0 / p)) if s > 0 else 0.0
 
 
 def _sorted_cloud(vals, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -102,12 +117,12 @@ def _sorted_cloud(vals, weights) -> tuple[np.ndarray, np.ndarray]:
     return v[keep], np.cumsum(w[keep])
 
 
-def _sorted_clouds_cost(xv, xc, yv, yc, p: float) -> float:
-    """W_p^p between two sorted clouds (values, cumulative weights).
+def _cloud_gaps(xv, xc, yv, yc) -> tuple[np.ndarray, np.ndarray]:
+    """Segment lengths of [0, 1] and the quantile gap |F_x^{-1} - F_y^{-1}|
+    on each, for two sorted clouds (values, cumulative weights).
 
-    Integrates |F_x^{-1}(u) - F_y^{-1}(u)|^p du by splitting [0,1] at the
-    merged cumulative weights of both clouds; inside each segment both
-    quantile functions are constant, so the result is exact.
+    [0, 1] is split at the merged cumulative weights of both clouds;
+    inside each segment both quantile functions are constant.
     """
     edges = np.clip(np.unique(np.concatenate((xc, yc, (0.0, 1.0)))), 0.0, 1.0)
     lengths = np.diff(edges)
@@ -115,14 +130,24 @@ def _sorted_clouds_cost(xv, xc, yv, yc, p: float) -> float:
     # quantile at level u: first atom whose cumulative weight reaches u
     xi = np.minimum(np.searchsorted(xc, mids, side="left"), xv.size - 1)
     yi = np.minimum(np.searchsorted(yc, mids, side="left"), yv.size - 1)
-    return float(np.sum(lengths * np.abs(xv[xi] - yv[yi]) ** p))
+    return lengths, np.abs(xv[xi] - yv[yi])
+
+
+def _sorted_clouds_cost(xv, xc, yv, yc, p: float) -> float:
+    """W_p^p between two sorted clouds (values, cumulative weights), exact:
+    the integral of |F_x^{-1}(u) - F_y^{-1}(u)|^p du."""
+    lengths, gaps = _cloud_gaps(xv, xc, yv, yc)
+    return float(np.sum(lengths * gaps ** p))
 
 
 def wasserstein_p_clouds(x, wx, y, wy, p: float) -> float:
     """Exact W_p between weighted atom clouds on R (weights summing to 1)."""
     if not p >= 1:
         raise ValueError("p must be >= 1")
-    cost = _sorted_clouds_cost(*_sorted_cloud(x, wx), *_sorted_cloud(y, wy), p)
+    lengths, gaps = _cloud_gaps(*_sorted_cloud(x, wx), *_sorted_cloud(y, wy))
+    cost = float(np.sum(lengths * gaps ** p))
+    if cost == 0.0:
+        return _rescaled_root(lambda g: np.sum(lengths * g ** p), gaps, p)
     return cost ** (1.0 / p)
 
 

@@ -706,6 +706,16 @@ def test_sde_unknown_preset_exits_2(tmp_path, capsys):
     assert main(["sde", "--out", str(tmp_path / "o")]) == 2
 
 
+def test_sde_negative_depth_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "preset": "she-form1", "depth": -1, "substeps": 4, "n_seeds": 1,
+    })
+    out = tmp_path / "out"
+    assert main(["sde", "--config", cfg, "--out", str(out)]) == 2
+    assert "depth must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_sde_seed_flag_overrides_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "preset": "heat", "depth": 2, "substeps": 4, "n_seeds": 1,

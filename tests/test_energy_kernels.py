@@ -48,7 +48,7 @@ from pathlift import (
     stochastic_heat_scenario,
     tightness_diagnostic,
 )
-from pathlift import path_norms
+from pathlift import path_norms, processes
 from pathlift.lift_builder import _CloudCost, _CurveCost, _lift_cost
 from pathlift.path_norms import _energy, _PairCost, _path_cost, _pvar_dp
 
@@ -632,6 +632,13 @@ def test_she_scenario_allocates_its_atoms_about_once():
     nbytes = scn.measure_path.atoms.nbytes
     peak = peak_bytes(stochastic_heat_scenario, 5, 8, 1024, True)
     assert peak < 1.5 * nbytes
+
+
+def test_a_cold_she_scenario_allocates_its_atoms_about_twice():
+    # the first call of a size also builds the cached heat curve
+    processes._heat_curve.cache_clear()
+    peak = peak_bytes(stochastic_heat_scenario, 5, 8, 1024, True)
+    assert peak < 2.5 * (2 ** 8 + 1) * 1024 * 8
 
 
 def test_besov_energies_allocate_level_blocks_not_levels():

@@ -1,9 +1,11 @@
 """Brownian fixtures, particle representations and the SDE integrator."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -188,15 +190,15 @@ def bridge_per_stream(seed, stream, depth, dim, count=None):
     return values[0] if count is None else values
 
 
-@pytest.mark.parametrize("count", [None, 8])
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("count", [None, 1, 3, 8])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", SEEDS + (2 ** 63 + 5,))
 def test_bridge_matches_a_new_stream_per_level(seed, dim, count):
-    for depth in range(13):
-        assert np.array_equal(
-            _bridge_values(seed, "W", depth, dim, count),
-            bridge_per_stream(seed, "W", depth, dim, count),
-        ), depth
+    for depth in range(14):
+        got = _bridge_values(seed, "W", depth, dim, count)
+        want = bridge_per_stream(seed, "W", depth, dim, count)
+        assert got.shape == want.shape, depth
+        assert got.tobytes() == want.tobytes(), depth
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -214,6 +216,65 @@ def test_streams_draw_what_stream_draws(seed):
         assert np.array_equal(
             ints, ref.integers(0, 2 ** 31, size=3, dtype=np.uint32)
         )
+
+
+def test_level_streams_draw_what_stream_draws():
+    for depth in (0, 3, 9):
+        for gen, m in zip(_rng.level_streams(11, "B", depth),
+                          range(depth + 2)):
+            ref = _rng.stream(11, f"B/L{m}").standard_normal(4)
+            assert gen.standard_normal(4).tobytes() == ref.tobytes()
+        assert m == depth
+
+
+def test_streams_walk_one_generator_per_thread():
+    names = [f"shuffle/{i}" for i in range(1, 200)]
+    gens, drawn = {"main": [], "other": []}, {"main": [], "other": []}
+
+    def walk(tag, seed):
+        for gen in _rng.streams(seed, names):
+            gens[tag].append(gen)
+            drawn[tag].append(gen.standard_normal(3).tobytes())
+
+    for i, gen in enumerate(_rng.streams(3, names)):
+        gens["main"].append(gen)
+        first = gen.standard_normal(2).tobytes()
+        if i == 100:
+            # a whole walk on a second thread, inside one main-thread stream
+            other = threading.Thread(target=walk, args=("other", 2 ** 63 + 5))
+            other.start()
+            other.join()
+        drawn["main"].append(first + gen.standard_normal(1).tobytes())
+    assert all(g is gens["main"][0] for g in gens["main"])
+    assert all(g is gens["other"][0] for g in gens["other"])
+    assert gens["main"][0] is not gens["other"][0]
+    for tag, seed in (("main", 3), ("other", 2 ** 63 + 5)):
+        assert drawn[tag] == [
+            _rng.stream(seed, name).standard_normal(3).tobytes()
+            for name in names
+        ]
+
+
+def test_bridges_on_many_threads_keep_their_bits():
+    seeds = range(40)
+    want = [_bridge_values(s, "W", 8, 1, 3).tobytes() for s in seeds]
+    got, threads = {}, []
+
+    def build(tag):
+        got[tag] = [_bridge_values(s, "W", 8, 1, 3).tobytes() for s in seeds]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the level walks
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got[i] == want for i in range(4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,6 +305,47 @@ def test_brownian_increment_statistics():
 def test_brownian_bundle_validation():
     with pytest.raises(ValueError):
         brownian_bundle(seed=0, depth=2, count=0)
+
+
+@pytest.mark.parametrize("depth", [1.5, math.nan, math.inf, -1])
+def test_brownian_path_refuses_a_bad_depth(depth):
+    with pytest.raises(ValueError, match="depth must be a nonnegative integer"):
+        BrownianPath(seed=1, depth=depth)
+    with pytest.raises(ValueError, match="depth must be a nonnegative integer"):
+        brownian_bundle(1, depth, count=2)
+
+
+@pytest.mark.parametrize("depth", [2.0, np.int64(2)])
+def test_brownian_path_stores_an_integral_depth_as_int(depth):
+    w = BrownianPath(seed=1, depth=depth)
+    assert type(w.depth) is int and w.depth == 2
+    assert w.values.tobytes() == BrownianPath(seed=1, depth=2).values.tobytes()
+
+
+@pytest.mark.parametrize("dim", [0, -2, 1.5, math.nan, math.inf])
+def test_brownian_path_refuses_a_bad_dim(dim):
+    with pytest.raises(ValueError, match="dim must be positive"):
+        BrownianPath(seed=1, depth=2, dim=dim)
+
+
+def test_brownian_path_stores_an_integral_dim_as_int():
+    w = BrownianPath(seed=1, depth=2, dim=np.float64(2.0))
+    assert type(w.dim) is int and w.values.shape == (5, 2)
+
+
+@pytest.mark.parametrize("count", [0, 2.5, math.nan, math.inf])
+def test_bundles_refuse_a_bad_count(count):
+    with pytest.raises(ValueError, match="count must be positive"):
+        brownian_bundle(1, 3, count=count)
+    scn = stochastic_heat_scenario(1, 3, 4)
+    with pytest.raises(ValueError, match="count must be positive"):
+        independent_particle_paths(scn, 2, count=count)
+
+
+def test_bundles_take_an_integral_count_and_depth():
+    pi = brownian_bundle(1, np.float64(3.0), count=2.0)
+    assert pi.depth == 3 and pi.n_paths == 2
+    assert pi.paths.tobytes() == brownian_bundle(1, 3, count=2).paths.tobytes()
 
 
 def test_brownian_path_dim_2():
@@ -285,6 +387,35 @@ def test_heat_flow_path_structure():
     assert mp.level == 3
     assert mp.atoms.shape == (9, 16, 1)
     assert np.array_equal(mp.atoms[0, :, 0], np.zeros(16))
+
+
+def broadcast_heat(depth, n):
+    """sqrt(t_k) * c_j as one broadcast multiply, built afresh."""
+    times = np.linspace(0.0, 1.0, 2 ** depth + 1)
+    return np.sqrt(times)[:, None] * gaussian_quantile(midpoint_grid(n))
+
+
+@pytest.mark.parametrize(
+    "depth,n", [(8, 1024), (8, 256), (7, 256), (0, 5), (3, 1), (8, 8)]
+)
+def test_heat_curve_is_cached_read_only_and_keeps_the_broadcast_bits(depth, n):
+    h = processes._heat_curve(depth, n)
+    assert h is processes._heat_curve(depth, n)
+    with pytest.raises(ValueError, match="read-only"):
+        h[-1, -1] = 0.0
+    want = broadcast_heat(depth, n)
+    assert h.tobytes() == want.tobytes()
+    atoms = heat_flow_path(depth, n).atoms
+    assert atoms.shape == (2 ** depth + 1, n, 1)
+    assert atoms.tobytes() == want.tobytes()
+    for seed in (0, 5, 2 ** 63 + 5):
+        w = BrownianPath(seed=seed, depth=depth)
+        she = processes._she_atoms(w, n)
+        ref = broadcast_heat(depth, n)
+        np.add(ref, w.values, out=ref)
+        assert she.shape == ref.shape and she.tobytes() == ref.tobytes()
+        she += 1.0  # a scenario's own array: the cached curve stays put
+    assert h.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

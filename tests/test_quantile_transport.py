@@ -12,6 +12,7 @@ from scipy.stats import wasserstein_distance
 from pathlift import (
     MonotoneCoupling,
     QuantileMeasure,
+    heat_flow_marginal,
     midpoint_grid,
     monotone_coupling,
     monotone_multicoupling,
@@ -159,6 +160,54 @@ def test_wasserstein_triangle_inequality():
         assert wasserstein_p(a, c, p) <= (
             wasserstein_p(a, b, p) + wasserstein_p(b, c, p) + 1e-12
         )
+
+
+def fsum_wp(x, y, p):
+    """Equal-weight W_p of matched atoms: math.fsum of the gaps' p-th powers,
+    the gaps scaled by the largest."""
+    gaps = [abs(a - b) for a, b in zip(x, y)]
+    s = max(gaps)
+    return s * (math.fsum((g / s) ** p for g in gaps) / len(gaps)) ** (1 / p)
+
+
+@pytest.mark.parametrize("p", [700.0, 1000.0])
+def test_wasserstein_at_large_p_does_not_underflow(p):
+    # mean |dx|^p underflowed to 0.0 here, and W_p read 0.0
+    mu, nu = heat_flow_marginal(0.25, 8), heat_flow_marginal(0.5, 8)
+    want = fsum_wp(mu.quantiles, nu.quantiles, p)
+    w = np.full(8, 1.0 / 8)
+    assert wasserstein_p(mu, nu, p) == pytest.approx(want, rel=1e-14)
+    assert wasserstein_p_clouds(
+        mu.quantiles, w, nu.quantiles, w, p) == pytest.approx(want, rel=1e-14)
+    # the same clouds with every atom of one split in two halves
+    assert wasserstein_p_clouds(
+        np.repeat(mu.quantiles, 2), np.full(16, 1.0 / 16), nu.quantiles, w, p
+    ) == pytest.approx(want, rel=1e-14)
+    assert wasserstein_p(mu, mu, p) == 0.0
+    assert wasserstein_p_clouds(mu.quantiles, w, mu.quantiles, w, p) == 0.0
+
+
+def test_wasserstein_at_tiny_scale_does_not_underflow():
+    mu, nu = QuantileMeasure([0.0, 1e-200]), QuantileMeasure([0.0, 3e-200])
+    want = 2e-200 * math.sqrt(0.5)
+    assert wasserstein_p(mu, nu, 2.0) == pytest.approx(want, rel=1e-15)
+    assert wasserstein_p_clouds(
+        mu.quantiles, [0.5, 0.5], nu.quantiles, [0.5, 0.5], 2.0
+    ) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("p,wp,clouds", [
+    (100.0, "0x1.40df7c4ad0c3fp-2", "0x1.40df7c4ad0c3fp-2"),
+    (500.0, "0x1.44738e6a3b940p-2", "0x1.44738e6a3b93fp-2"),
+    (600.0, "0x1.4499f26449432p-2", "0x1.4499f26449431p-2"),
+])
+def test_wasserstein_keeps_its_bits_where_nothing_underflows(p, wp, clouds):
+    # the unscaled root; scaling by the largest gap moved p = 500 by 1 ulp
+    mu, nu = heat_flow_marginal(0.25, 8), heat_flow_marginal(0.5, 8)
+    w = np.full(8, 1.0 / 8)
+    assert wasserstein_p(mu, nu, p).hex() == wp
+    assert wasserstein_p_clouds(
+        mu.quantiles, w, nu.quantiles, w, p).hex() == clouds
 
 
 # ---------------------------------------------------------------------------
